@@ -1,5 +1,6 @@
 #!/bin/bash
-# CI gate: formatting, lints, tier-1 tests, and manifest archiving.
+# CI gate: formatting, lints, tier-1 and workspace tests, and manifest
+# archiving.
 # Usage: ./ci.sh
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -14,6 +15,13 @@ cargo clippy --workspace --all-targets -- -D warnings -D deprecated
 
 echo "== cargo test -q (tier-1 gate) =="
 cargo test -q
+
+# Whole-workspace tests: the root package's suite above runs only its
+# own test binaries; the crates' suites (nn gradient properties, DQN
+# train-step bit-exactness and allocation gate, serve wire suites,
+# scenario fuzzing, telemetry merge properties, fleet tests) run here.
+echo "== cargo test --workspace -q (every crate's tests) =="
+cargo test --workspace -q
 
 # Chaos smoke: the quick fault-injection matrix (seeds x fault mixes,
 # zero-rate bit-exactness, checkpoint resume). Also part of tier-1

@@ -34,21 +34,28 @@ pub struct DqnAgent {
 
 /// Reusable buffers for [`DqnAgent::train_step`] and the scratch-based
 /// inference path: the packed minibatch, the network scratch spaces, the
-/// Q-target batch, and the single-row observation workspace. Kept inside
-/// the agent so steady-state training *and* evaluation perform no
-/// per-step allocation.
+/// per-sample Q-targets, and the single-row observation workspace. Kept
+/// inside the agent so steady-state training *and* evaluation perform
+/// no per-step allocation.
 #[derive(Debug, Clone)]
 struct TrainScratch {
     states: Batch,
     actions: Vec<usize>,
     rewards: Vec<f64>,
     next_states: Batch,
+    /// Replay slot of each sampled transition.
+    slots: Vec<usize>,
     /// Traced forward/backward workspace of the online network.
     online: BatchScratch,
     /// Forward-only workspace for the target (and, under double DQN, the
     /// online-next) pass.
     aux: BatchScratch,
-    targets: Batch,
+    /// Per-sample bootstrap, then Q-target `r + γ·bootstrap`.
+    targets: Vec<f64>,
+    /// Vanilla DQN: the samples whose bootstrap was not memoised, and
+    /// their packed next-states.
+    misses: Vec<usize>,
+    miss_states: Batch,
     /// Double DQN: per-sample action selected by the online network.
     selected: Vec<usize>,
     params: Vec<f64>,
@@ -63,16 +70,27 @@ struct TrainScratch {
 }
 
 impl TrainScratch {
-    fn for_networks(online: &Mlp) -> Self {
+    /// Buffers for `online`; the per-sample ones are sized for
+    /// `batch_size` up front, so even the first train step adds no
+    /// allocation of its own for them.
+    fn for_networks(online: &Mlp, batch_size: usize) -> Self {
         TrainScratch {
             states: Batch::with_cols(online.input_size()),
-            actions: Vec::new(),
-            rewards: Vec::new(),
+            actions: Vec::with_capacity(batch_size),
+            rewards: Vec::with_capacity(batch_size),
             next_states: Batch::with_cols(online.input_size()),
+            slots: Vec::with_capacity(batch_size),
             online: BatchScratch::for_network(online),
             aux: BatchScratch::for_network(online),
-            targets: Batch::with_cols(online.output_size()),
-            selected: Vec::new(),
+            targets: Vec::with_capacity(batch_size),
+            misses: Vec::with_capacity(batch_size),
+            miss_states: {
+                // Emptied, keeping the allocation for `batch_size` rows.
+                let mut rows = Batch::zeros(batch_size, online.input_size());
+                rows.clear();
+                rows
+            },
+            selected: Vec::with_capacity(batch_size),
             params: Vec::new(),
             obs: Batch::with_cols(online.input_size()),
             infer: BatchScratch::for_network(online),
@@ -98,7 +116,7 @@ impl DqnAgent {
         let target = online.clone();
         let optimizer = Adam::with_learning_rate(config.learning_rate);
         let replay = ReplayBuffer::new(config.replay_capacity);
-        let scratch = TrainScratch::for_networks(&online);
+        let scratch = TrainScratch::for_networks(&online, config.batch_size);
         DqnAgent {
             config,
             online,
@@ -139,7 +157,7 @@ impl DqnAgent {
         assert_eq!(online.output_size(), config.num_actions(), "online output");
         assert_eq!(target.input_size(), config.input_size(), "target input");
         assert_eq!(target.output_size(), config.num_actions(), "target output");
-        let scratch = TrainScratch::for_networks(&online);
+        let scratch = TrainScratch::for_networks(&online, config.batch_size);
         DqnAgent {
             config,
             online,
@@ -183,6 +201,7 @@ impl DqnAgent {
     pub fn load_network(&mut self, net: &Mlp) {
         self.online.copy_weights_from(net);
         self.target.copy_weights_from(net);
+        self.replay.forget_bootstraps();
     }
 
     /// Environment steps observed so far.
@@ -415,15 +434,18 @@ impl DqnAgent {
 
     /// One gradient step on a replay minibatch; returns the loss.
     ///
-    /// Targets are `r + γ·max_{a′} Q_target(s′, a′)` written into the
-    /// online network's own prediction vector so only the taken action's
-    /// output receives gradient.
+    /// The loss is the standard DQN `(Q(s, a) − y)²` with target
+    /// `y = r + γ·max_{a′} Q_target(s′, a′)` (double DQN:
+    /// `Q_target(s′, argmax_{a′} Q_online(s′, a′))`), taken in gather
+    /// form by [`Mlp::loss_and_gradient_gather`]: the online output layer
+    /// is evaluated and differentiated only at the taken actions.
     ///
-    /// The whole minibatch runs through the batched kernels: exactly one
-    /// online forward over the packed states (its trace reused by
-    /// backpropagation), one target forward over the packed next-states,
-    /// and — under double DQN — one online forward over the next-states
-    /// for action selection. Bit-exact with the per-sample formulation
+    /// Under vanilla targets the bootstrap `max_{a′} Q_target(s′, a′)`
+    /// is memoised per replay slot until the target network or the
+    /// slot changes; only the misses run through one packed target
+    /// forward. Double DQN runs one online and one target forward over
+    /// all next-states. Bit-exact with the per-sample formulation that
+    /// writes `y` into the online network's own prediction vector
     /// (regression-tested below).
     pub fn train_step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
         self.train_step_with_fault(rng, &mut NullFaultPlan)
@@ -482,42 +504,59 @@ impl DqnAgent {
             &mut scratch.actions,
             &mut scratch.rewards,
             &mut scratch.next_states,
+            &mut scratch.slots,
             rng,
         );
         let rows = scratch.states.rows();
 
-        // Double DQN: the online network selects, the target network
-        // evaluates.
-        scratch.selected.clear();
+        let targets = &mut scratch.targets;
+        targets.clear();
         if config.double_dqn {
+            // The online network selects, the target network evaluates.
             let online_next = online.forward_batch(&scratch.next_states, &mut scratch.aux);
+            scratch.selected.clear();
             for s in 0..rows {
                 scratch.selected.push(argmax(online_next.row(s)));
             }
+            let next_q = target.forward_batch(&scratch.next_states, &mut scratch.aux);
+            for (s, &a) in scratch.selected.iter().enumerate() {
+                targets.push(next_q.row(s)[a]);
+            }
+        } else {
+            // Memo hits first; a NaN marks a miss.
+            targets.extend(scratch.slots.iter().map(|&slot| replay.bootstrap(slot)));
+            scratch.misses.clear();
+            scratch.miss_states.reset(scratch.next_states.cols());
+            for (s, t) in targets.iter().enumerate() {
+                if t.is_nan() {
+                    scratch.misses.push(s);
+                    scratch.miss_states.push_row(scratch.next_states.row(s));
+                }
+            }
+            if !scratch.misses.is_empty() {
+                let next_q = target.forward_batch(&scratch.miss_states, &mut scratch.aux);
+                for (m, &s) in scratch.misses.iter().enumerate() {
+                    let bootstrap = next_q
+                        .row(m)
+                        .iter()
+                        .cloned()
+                        .fold(f64::NEG_INFINITY, f64::max);
+                    replay.memoise_bootstrap(scratch.slots[s], bootstrap);
+                    targets[s] = bootstrap;
+                }
+            }
         }
-
-        // One traced online forward over the batch — the predictions seed
-        // the Q-target vectors AND the backward pass reuses the trace.
-        online.forward_batch(&scratch.states, &mut scratch.online);
-        scratch.targets.copy_from(scratch.online.output());
-
-        let next_q = target.forward_batch(&scratch.next_states, &mut scratch.aux);
-        for s in 0..rows {
-            let bootstrap = if config.double_dqn {
-                next_q.row(s)[scratch.selected[s]]
-            } else {
-                next_q
-                    .row(s)
-                    .iter()
-                    .cloned()
-                    .fold(f64::NEG_INFINITY, f64::max)
-            };
-            scratch.targets.row_mut(s)[scratch.actions[s]] =
-                scratch.rewards[s] + config.gamma * bootstrap;
+        for (t, &r) in targets.iter_mut().zip(&scratch.rewards) {
+            *t = r + config.gamma * *t;
         }
 
         *train_steps += 1;
-        let (loss, _) = online.backward_batch(&scratch.targets, &mut scratch.online);
+        let (loss, _) = online.loss_and_gradient_gather(
+            &scratch.states,
+            &scratch.actions,
+            targets,
+            &mut scratch.online,
+        );
         online.flatten_params_into(&mut scratch.params);
         if fault.is_enabled() {
             let mut grads = scratch.online.gradient().to_vec();
@@ -542,6 +581,7 @@ impl DqnAgent {
     /// Copies the online network into the target network.
     pub fn sync_target(&mut self) {
         self.target.copy_weights_from(&self.online);
+        self.replay.forget_bootstraps();
     }
 }
 
@@ -840,6 +880,23 @@ mod tests {
         opt: &mut Adam,
         rng: &mut R,
     ) -> f64 {
+        let (loss, grads) = reference_loss_and_gradient(online, target, replay, config, rng);
+        let mut params = online.flatten_params();
+        opt.step(&mut params, &grads);
+        online.set_params(&params);
+        loss
+    }
+
+    /// The loss and gradient half of [`reference_train_step`]: the
+    /// per-sample `Mlp::loss_and_gradient` on targets written into the
+    /// online network's own prediction vectors.
+    fn reference_loss_and_gradient<R: Rng + ?Sized>(
+        online: &Mlp,
+        target: &Mlp,
+        replay: &crate::replay::ReplayBuffer,
+        config: &DqnConfig,
+        rng: &mut R,
+    ) -> (f64, Vec<f64>) {
         let batch = replay.sample(config.batch_size, rng);
         let mut inputs: Vec<Vec<f64>> = Vec::new();
         let mut targets: Vec<Vec<f64>> = Vec::new();
@@ -861,7 +918,206 @@ mod tests {
             .zip(&targets)
             .map(|(i, t)| (i.as_slice(), t.as_slice()))
             .collect();
-        online.train_batch(&pairs, opt)
+        online.loss_and_gradient(&pairs)
+    }
+
+    /// [`DqnAgent::observe_with_fault`]'s schedule — replay push,
+    /// replay corruption, training with the non-finite-gradient guard,
+    /// target sync — on [`reference_loss_and_gradient`], with no
+    /// bootstrap memo.
+    struct ReferenceAgent {
+        config: DqnConfig,
+        online: Mlp,
+        target: Mlp,
+        optimizer: Adam,
+        replay: ReplayBuffer,
+        steps: usize,
+        skipped_train_steps: usize,
+        last_loss: Option<f64>,
+    }
+
+    impl ReferenceAgent {
+        fn new(agent: &DqnAgent) -> Self {
+            let config = agent.config().clone();
+            ReferenceAgent {
+                online: agent.network().clone(),
+                target: agent.target_network().clone(),
+                optimizer: Adam::with_learning_rate(config.learning_rate),
+                replay: ReplayBuffer::new(config.replay_capacity),
+                steps: 0,
+                skipped_train_steps: 0,
+                last_loss: None,
+                config,
+            }
+        }
+
+        fn observe<R: Rng + ?Sized, F: FaultPoint>(
+            &mut self,
+            experience: Experience,
+            rng: &mut R,
+            fault: &mut F,
+        ) -> Option<f64> {
+            self.replay.push(experience);
+            self.steps += 1;
+            let mut loss = None;
+            if self.replay.len() >= self.config.warmup
+                && self.steps.is_multiple_of(self.config.train_interval)
+            {
+                if fault.should_fire(FaultSite::ReplayCorruption) {
+                    let index = fault.pick_index(FaultSite::ReplayCorruption, self.replay.len());
+                    let value = fault.poison(FaultSite::ReplayCorruption);
+                    self.replay.corrupt_at(index, value);
+                }
+                let (step_loss, mut grads) = reference_loss_and_gradient(
+                    &self.online,
+                    &self.target,
+                    &self.replay,
+                    &self.config,
+                    rng,
+                );
+                if fault.should_fire(FaultSite::GradientPoison) {
+                    let index = fault.pick_index(FaultSite::GradientPoison, grads.len());
+                    grads[index] = fault.poison(FaultSite::GradientPoison);
+                }
+                if grads.iter().all(|g| g.is_finite()) {
+                    let mut params = self.online.flatten_params();
+                    self.optimizer.step(&mut params, &grads);
+                    self.online.set_params(&params);
+                } else {
+                    self.skipped_train_steps += 1;
+                }
+                self.last_loss = Some(step_loss);
+                loss = Some(step_loss);
+            }
+            if self.steps.is_multiple_of(self.config.target_sync_interval) {
+                self.target.copy_weights_from(&self.online);
+            }
+            loss
+        }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// 64-bit FNV-1a.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// FNV-1a of the checkpoints of the agent below after 260 and after
+    /// all 400 observations, as encoded by the train step before the
+    /// bootstrap memo and the gather-form gradient existed: the memo is
+    /// derived state and must not reach the checkpoint, and the run must
+    /// not move a bit.
+    const MID_WINDOW_CHECKPOINT_FNV: u64 = 7_960_956_261_912_146_255;
+    const FINAL_CHECKPOINT_FNV: u64 = 10_896_609_203_614_093_342;
+
+    #[test]
+    fn bootstrap_memo_is_invisible_across_syncs_wraps_faults_reloads_and_restores() {
+        use crate::checkpoint::{decode_agent, encode_agent};
+        use ctjam_fault::{FaultPlan, FaultRates};
+
+        let config = DqnConfig {
+            replay_capacity: 48,
+            target_sync_interval: 25,
+            warmup: 20,
+            ..small_config()
+        };
+        let input = config.input_size();
+        let mut rng = StdRng::seed_from_u64(51);
+        let mut agent = DqnAgent::new(config.clone(), &mut rng);
+        let mut reference = ReferenceAgent::new(&agent);
+        let mut ref_rng = rng.clone();
+        let rates = FaultRates::zero().with(FaultSite::ReplayCorruption, 0.05);
+        let mut plan = FaultPlan::new(9, rates);
+        let mut ref_plan = FaultPlan::new(9, rates);
+        let donor = DqnAgent::new(config.clone(), &mut StdRng::seed_from_u64(52));
+        let observation = |i: usize| -> Vec<f64> {
+            (0..input)
+                .map(|j| ((i * 7 + j * 3) % 11) as f64 / 11.0 - 0.4)
+                .collect()
+        };
+        for i in 0..400 {
+            if i == 130 {
+                agent.load_network(donor.network());
+                reference.online.copy_weights_from(donor.network());
+                reference.target.copy_weights_from(donor.network());
+            }
+            if i == 260 {
+                // Mid sync window (260 % 25 == 10), with memoised slots.
+                assert!((0..agent.replay_len()).any(|s| !agent.replay.bootstrap(s).is_nan()));
+                let mut bytes = Vec::new();
+                encode_agent(&agent, &mut bytes);
+                let memo_free = DqnAgent::from_parts(
+                    agent.config().clone(),
+                    agent.network().clone(),
+                    agent.target_network().clone(),
+                    agent.optimizer().clone(),
+                    ReplayBuffer::restore(
+                        agent.replay().capacity(),
+                        agent.replay().items().to_vec(),
+                        agent.replay().write_index(),
+                    ),
+                    agent.steps(),
+                    agent.train_steps(),
+                    agent.skipped_train_steps(),
+                    agent.last_loss(),
+                );
+                let mut memo_free_bytes = Vec::new();
+                encode_agent(&memo_free, &mut memo_free_bytes);
+                assert_eq!(bytes, memo_free_bytes, "the memo reached the checkpoint");
+                assert_eq!(fnv1a(&bytes), MID_WINDOW_CHECKPOINT_FNV);
+                agent = decode_agent(&mut &bytes[..]).expect("checkpoint decodes");
+            }
+            let (state, next) = (observation(i), observation(i + 1));
+            let action = (i * 5) % config.num_actions();
+            let reward = -((i % 9) as f64);
+            let a = agent.observe_with_fault(
+                state.clone(),
+                action,
+                reward,
+                next.clone(),
+                &mut rng,
+                &mut plan,
+            );
+            let b = reference.observe(
+                Experience {
+                    state,
+                    action,
+                    reward,
+                    next_state: next,
+                },
+                &mut ref_rng,
+                &mut ref_plan,
+            );
+            assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "loss at step {i}");
+        }
+        assert!(plan.fired(FaultSite::ReplayCorruption) > 0);
+        assert!(agent.skipped_train_steps() > 0);
+        assert_eq!(agent.skipped_train_steps(), reference.skipped_train_steps);
+        assert_eq!(
+            agent.last_loss().map(f64::to_bits),
+            reference.last_loss.map(f64::to_bits)
+        );
+        assert_eq!(
+            bits(&agent.network().flatten_params()),
+            bits(&reference.online.flatten_params())
+        );
+        assert_eq!(
+            bits(&agent.target_network().flatten_params()),
+            bits(&reference.target.flatten_params())
+        );
+        let (opt, ref_opt) = (agent.optimizer(), &reference.optimizer);
+        assert_eq!(opt.step_count(), ref_opt.step_count());
+        assert_eq!(bits(opt.first_moment()), bits(ref_opt.first_moment()));
+        assert_eq!(bits(opt.second_moment()), bits(ref_opt.second_moment()));
+        assert_eq!(rng.gen::<u64>(), ref_rng.gen::<u64>());
+        let mut bytes = Vec::new();
+        encode_agent(&agent, &mut bytes);
+        assert_eq!(fnv1a(&bytes), FINAL_CHECKPOINT_FNV);
     }
 
     fn assert_batched_train_step_matches_reference(double_dqn: bool) {

@@ -37,6 +37,12 @@ pub struct ReplayBuffer {
     capacity: usize,
     items: Vec<Experience>,
     write: usize,
+    /// Per-slot memo of the training step's bootstrap
+    /// `max_a′ Q_target(s′, a′)`, `NaN` meaning "not computed". Derived
+    /// state: never checkpointed, cleared whenever a slot's `next_state`
+    /// changes, and cleared wholesale by the agent whenever the target
+    /// network changes.
+    bootstraps: Vec<f64>,
 }
 
 impl ReplayBuffer {
@@ -51,6 +57,7 @@ impl ReplayBuffer {
             capacity,
             items: Vec::with_capacity(capacity.min(4096)),
             write: 0,
+            bootstraps: Vec::with_capacity(capacity.min(4096)),
         }
     }
 
@@ -90,10 +97,12 @@ impl ReplayBuffer {
         assert!(capacity > 0, "replay capacity must be positive");
         assert!(items.len() <= capacity, "more items than capacity");
         assert!(write < capacity, "write cursor out of range");
+        let bootstraps = vec![f64::NAN; items.len()];
         ReplayBuffer {
             capacity,
             items,
             write,
+            bootstraps,
         }
     }
 
@@ -108,6 +117,7 @@ impl ReplayBuffer {
         e.state.fill(value);
         e.next_state.fill(value);
         e.reward = value;
+        self.bootstraps[index] = f64::NAN;
         true
     }
 
@@ -115,10 +125,27 @@ impl ReplayBuffer {
     pub fn push(&mut self, experience: Experience) {
         if self.items.len() < self.capacity {
             self.items.push(experience);
+            self.bootstraps.push(f64::NAN);
         } else {
             self.items[self.write] = experience;
+            self.bootstraps[self.write] = f64::NAN;
         }
         self.write = (self.write + 1) % self.capacity;
+    }
+
+    /// The memoised bootstrap of `slot`, or `NaN` if none is stored.
+    pub(crate) fn bootstrap(&self, slot: usize) -> f64 {
+        self.bootstraps[slot]
+    }
+
+    /// Stores the bootstrap of `slot` under the current target network.
+    pub(crate) fn memoise_bootstrap(&mut self, slot: usize, value: f64) {
+        self.bootstraps[slot] = value;
+    }
+
+    /// Forgets every memoised bootstrap (the target network changed).
+    pub(crate) fn forget_bootstraps(&mut self) {
+        self.bootstraps.fill(f64::NAN);
     }
 
     /// Samples `batch` experiences uniformly with replacement.
@@ -142,10 +169,13 @@ impl ReplayBuffer {
     ///
     /// Draws exactly the same RNG sequence as `sample`, so a seeded run
     /// picks identical transitions whichever entry point it uses.
+    /// `slots` receives the index (into [`ReplayBuffer::items`]) of each
+    /// drawn transition.
     ///
     /// # Panics
     ///
     /// Panics if the buffer is empty.
+    #[allow(clippy::too_many_arguments)] // one output buffer per field
     pub fn sample_into<R: Rng + ?Sized>(
         &self,
         batch: usize,
@@ -153,6 +183,7 @@ impl ReplayBuffer {
         actions: &mut Vec<usize>,
         rewards: &mut Vec<f64>,
         next_states: &mut Batch,
+        slots: &mut Vec<usize>,
         rng: &mut R,
     ) {
         assert!(
@@ -163,8 +194,11 @@ impl ReplayBuffer {
         next_states.reset(self.items[0].next_state.len());
         actions.clear();
         rewards.clear();
+        slots.clear();
         for _ in 0..batch {
-            let e = &self.items[rng.gen_range(0..self.items.len())];
+            let slot = rng.gen_range(0..self.items.len());
+            let e = &self.items[slot];
+            slots.push(slot);
             states.push_row(&e.state);
             actions.push(e.action);
             rewards.push(e.reward);
@@ -237,16 +271,19 @@ mod tests {
         let mut next_states = Batch::default();
         let mut actions = Vec::new();
         let mut rewards = Vec::new();
+        let mut slots = Vec::new();
         buf.sample_into(
             12,
             &mut states,
             &mut actions,
             &mut rewards,
             &mut next_states,
+            &mut slots,
             &mut rng_b,
         );
         assert_eq!(states.rows(), 12);
         for (s, e) in reference.iter().enumerate() {
+            assert_eq!(&buf.items()[slots[s]], *e);
             assert_eq!(states.row(s), &e.state[..]);
             assert_eq!(actions[s], e.action);
             assert_eq!(rewards[s], e.reward);
@@ -283,12 +320,34 @@ mod tests {
         for i in 0..4 {
             buf.push(exp(i as f64));
         }
+        buf.memoise_bootstrap(2, -1.5);
+        buf.memoise_bootstrap(1, -2.5);
         assert!(buf.corrupt_at(2, f64::NAN));
+        assert!(buf.bootstrap(2).is_nan(), "corruption forgets the memo");
+        assert_eq!(buf.bootstrap(1), -2.5);
         assert!(buf.items()[2].reward.is_nan());
         assert!(buf.items()[2].state.iter().all(|v| v.is_nan()));
         // Neighbours untouched.
         assert_eq!(buf.items()[1].reward, 1.0);
         assert!(!buf.corrupt_at(99, 0.0));
+    }
+
+    #[test]
+    fn overwriting_a_slot_forgets_only_its_bootstrap() {
+        let mut buf = ReplayBuffer::new(3);
+        for i in 0..3 {
+            buf.push(exp(i as f64));
+            assert!(buf.bootstrap(i).is_nan(), "a new slot starts empty");
+            buf.memoise_bootstrap(i, i as f64);
+        }
+        buf.push(exp(3.0));
+        assert!(buf.bootstrap(0).is_nan());
+        assert_eq!((buf.bootstrap(1), buf.bootstrap(2)), (1.0, 2.0));
+        buf.forget_bootstraps();
+        assert!((0..3).all(|i| buf.bootstrap(i).is_nan()));
+        let restored =
+            ReplayBuffer::restore(buf.capacity(), buf.items().to_vec(), buf.write_index());
+        assert!((0..3).all(|i| restored.bootstrap(i).is_nan()));
     }
 
     #[test]

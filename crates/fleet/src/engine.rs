@@ -12,7 +12,35 @@ use ctjam_fault::{FaultPlan, FaultPoint, NullFaultPlan};
 use ctjam_telemetry::{EventSink, RunHealth, ShardSink};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::fmt;
 use std::sync::Arc;
+
+/// Why [`Fleet::resume`] refused a progress checkpoint.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ResumeError {
+    /// The checkpoint was captured from a different spec: resuming
+    /// across specs would silently mix incomparable episodes.
+    ForeignCheckpoint {
+        /// Fingerprint recorded in the checkpoint.
+        checkpoint: u64,
+        /// [`CampaignSpec::fingerprint`] of the spec being resumed.
+        spec: u64,
+    },
+}
+
+impl fmt::Display for ResumeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ResumeError::ForeignCheckpoint { checkpoint, spec } => write!(
+                f,
+                "progress checkpoint of spec fingerprint {checkpoint:016x} does not \
+                 belong to this campaign spec ({spec:016x})"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ResumeError {}
 
 /// The result of one episode, keyed by its grid position. Pure function
 /// of `(spec, episode)` — never of scheduling.
@@ -112,17 +140,21 @@ impl Fleet {
     /// is bit-exact with an uninterrupted [`Fleet::run`] — outcomes are
     /// pure per-episode, and the telemetry merge is partition-invariant.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `progress` was captured from a different spec
-    /// (fingerprint mismatch) — resuming across specs would silently mix
-    /// incomparable episodes.
-    pub fn resume(&self, spec: &CampaignSpec, progress: &CampaignProgress) -> CampaignResult {
-        assert_eq!(
-            progress.fingerprint,
-            spec.fingerprint(),
-            "progress checkpoint does not belong to this campaign spec"
-        );
+    /// [`ResumeError::ForeignCheckpoint`] if `progress` was captured
+    /// from a different spec (fingerprint mismatch).
+    pub fn resume(
+        &self,
+        spec: &CampaignSpec,
+        progress: &CampaignProgress,
+    ) -> Result<CampaignResult, ResumeError> {
+        if progress.fingerprint != spec.fingerprint() {
+            return Err(ResumeError::ForeignCheckpoint {
+                checkpoint: progress.fingerprint,
+                spec: spec.fingerprint(),
+            });
+        }
         let done: std::collections::HashSet<u64> =
             progress.outcomes.iter().map(|o| o.episode).collect();
         let remaining: Vec<u64> = (0..spec.episodes() as u64)
@@ -135,13 +167,13 @@ impl Fleet {
         let mut telemetry = progress.telemetry.clone();
         telemetry.merge(&fresh.telemetry);
         let (metrics, health) = reduce_outcomes(&outcomes);
-        CampaignResult {
+        Ok(CampaignResult {
             outcomes,
             metrics,
             health,
             telemetry,
             shards: fresh.shards,
-        }
+        })
     }
 
     fn run_episodes(&self, spec: &CampaignSpec, episodes: &[u64]) -> CampaignResult {
@@ -329,7 +361,10 @@ mod tests {
         let full = Fleet::new().threads(2).run(&spec);
         let progress = Fleet::new().threads(1).run_partial(&spec, 4);
         assert_eq!(progress.outcomes.len(), 4);
-        let resumed = Fleet::new().threads(3).resume(&spec, &progress);
+        let resumed = Fleet::new()
+            .threads(3)
+            .resume(&spec, &progress)
+            .expect("own checkpoint");
         assert_eq!(resumed.outcomes, full.outcomes);
         assert_eq!(resumed.metrics, full.metrics);
         assert_eq!(resumed.telemetry, full.telemetry);
@@ -340,13 +375,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "does not belong")]
     fn resume_rejects_a_foreign_checkpoint() {
         let spec = baseline_spec(CampaignPolicy::RandomFh);
         let progress = Fleet::new().run_partial(&spec, 2);
         let mut other = baseline_spec(CampaignPolicy::RandomFh);
         other.base_seed ^= 1;
-        Fleet::new().resume(&other, &progress);
+        assert_eq!(
+            Fleet::new().resume(&other, &progress),
+            Err(ResumeError::ForeignCheckpoint {
+                checkpoint: spec.fingerprint(),
+                spec: other.fingerprint(),
+            })
+        );
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod progress;
 pub mod shared;
 pub mod spec;
 
-pub use engine::{CampaignResult, EpisodeOutcome, Fleet};
+pub use engine::{CampaignResult, EpisodeOutcome, Fleet, ResumeError};
 pub use progress::CampaignProgress;
 pub use shared::SharedPolicyDefender;
 pub use spec::{CampaignFaults, CampaignPolicy, CampaignSpec};

@@ -7,18 +7,35 @@
 //! * the **batched** path ([`Mlp::forward_batch`],
 //!   [`Mlp::loss_and_gradient_batch`], [`Mlp::train_minibatch`]) — one
 //!   packed [`Batch`] per layer, reusable [`BatchScratch`] buffers, and
-//!   blocked matrix–matrix kernels.
+//!   blocked matrix–matrix kernels. [`Mlp::loss_and_gradient_gather`]
+//!   is its DQN form: per-sample scalar targets for one taken action
+//!   each, with the output layer evaluated and differentiated only at
+//!   those actions.
 //!
-//! The two paths are **bit-exact**: every dot product accumulates in the
+//! The paths are **bit-exact**: every dot product accumulates in the
 //! same order, so swapping one for the other cannot perturb a single
 //! reproducible run (property-tested in `tests/properties.rs`).
 
 use crate::activation::Activation;
 use crate::batch::Batch;
+use crate::kernel;
 use crate::loss::Loss;
 use crate::matrix::{gemm_tn_scaled_into, Matrix};
 use crate::optimizer::Optimizer;
 use rand::Rng;
+
+/// Largest magnitude in `xs` (`0.0` when empty), or a non-finite value
+/// if any entry is NaN or infinite: with the sign bit cleared, IEEE-754
+/// bit patterns order like the magnitudes they encode, and NaN/∞ sit
+/// above every finite value.
+fn max_abs(xs: &[f64]) -> f64 {
+    f64::from_bits(
+        xs.iter()
+            .map(|v| v.to_bits() & !(1 << 63))
+            .max()
+            .unwrap_or(0),
+    )
+}
 
 /// One dense layer: `a = act(W·x + b)`.
 #[derive(Debug, Clone, PartialEq)]
@@ -308,14 +325,28 @@ impl Mlp {
     }
 
     /// Copies another network's weights into this one (target-network
-    /// synchronization in DQN).
+    /// synchronization in DQN), without allocating.
     ///
     /// # Panics
     ///
     /// Panics if the architectures differ.
     pub fn copy_weights_from(&mut self, other: &Mlp) {
-        assert_eq!(self.shape(), other.shape(), "architecture mismatch");
-        self.set_params(&other.flatten_params());
+        let same_shape = self.layers.len() == other.layers.len()
+            && self.layers.iter().zip(&other.layers).all(|(a, b)| {
+                (a.input_size(), a.output_size()) == (b.input_size(), b.output_size())
+            });
+        assert!(same_shape, "architecture mismatch");
+        for (layer, src) in self.layers.iter_mut().zip(&other.layers) {
+            layer
+                .weights
+                .as_mut_slice()
+                .copy_from_slice(src.weights.as_slice());
+            layer
+                .weights_t
+                .as_mut_slice()
+                .copy_from_slice(src.weights_t.as_slice());
+            layer.biases.copy_from_slice(&src.biases);
+        }
     }
 
     /// Computes the mean per-sample loss and its gradient over a batch
@@ -416,9 +447,19 @@ impl Mlp {
     ///
     /// Panics if `x.cols()` differs from the input width.
     pub fn forward_batch<'s>(&self, x: &Batch, scratch: &'s mut BatchScratch) -> &'s Batch {
+        self.forward_layers(x, self.layers.len(), scratch);
+        scratch
+            .activations
+            .last()
+            .expect("at least the input activation")
+    }
+
+    /// Runs the first `count` layers over `x`, recording their trace in
+    /// `scratch` (`activations[0..=count]`, `preacts[0..count]`).
+    fn forward_layers(&self, x: &Batch, count: usize, scratch: &mut BatchScratch) {
         assert_eq!(x.cols(), self.input_size(), "input width mismatch");
         scratch.activations[0].copy_from(x);
-        for (l, layer) in self.layers.iter().enumerate() {
+        for (l, layer) in self.layers[..count].iter().enumerate() {
             let (head, tail) = scratch.activations.split_at_mut(l + 1);
             let z = &mut scratch.preacts[l];
             head[l].matmul_bias_into(&layer.weights_t, Some(&layer.biases), z);
@@ -426,10 +467,6 @@ impl Mlp {
             a.copy_from(z);
             layer.activation.apply_slice(a.as_mut_slice());
         }
-        scratch
-            .activations
-            .last()
-            .expect("at least the input activation")
     }
 
     /// Backward pass over the activation trace left in `scratch` by the
@@ -480,7 +517,15 @@ impl Mlp {
             }
         }
 
-        for l in (0..self.layers.len()).rev() {
+        self.backprop_layers(self.layers.len(), rows, scale, scratch);
+        (total_loss * scale, &scratch.flat)
+    }
+
+    /// Backpropagates `scratch.delta` (`dL/da` of layer `top − 1`'s
+    /// output) through layers `top − 1 … 0` on the dense kernels, then
+    /// flattens every layer's gradient into `scratch.flat`.
+    fn backprop_layers(&self, top: usize, rows: usize, scale: f64, scratch: &mut BatchScratch) {
+        for l in (0..top).rev() {
             let layer = &self.layers[l];
             let (out_size, in_size) = (layer.output_size(), layer.input_size());
             // dz = dL/da ⊙ act′(z), for the whole batch.
@@ -527,7 +572,129 @@ impl Mlp {
             scratch.flat.extend_from_slice(gw.as_slice());
             scratch.flat.extend_from_slice(gb);
         }
+    }
+
+    /// Gather-form loss and flat gradient: the mean over samples of
+    /// `loss(Q(x_s)[actions[s]], targets[s])`, the standard DQN loss
+    /// `(Q(s, a) − y)²` in which only the taken action's output carries
+    /// gradient.
+    ///
+    /// Bit-exact with [`Mlp::loss_and_gradient_batch`] on a dense target
+    /// batch equal to the network's own predictions except
+    /// `targets[s]` in column `actions[s]`. The hidden layers run on the
+    /// [`Mlp::forward_batch`] kernels; the output layer is evaluated
+    /// only at `actions[s]`, and its weight/bias gradients and the delta
+    /// into the last hidden layer touch only those rows. The dense path
+    /// adds nothing but `±0` terms beyond these to sums that start at
+    /// `+0.0`, and the kept terms fold in the same order, so the bits
+    /// agree — provided every dense output is finite. When that cannot
+    /// be proven (a non-finite input, target, hidden activation or
+    /// output parameter, an output that could overflow, a negative
+    /// Huber threshold, or the SIMD backend active) the call runs the
+    /// dense [`Mlp::forward_batch`] + [`Mlp::backward_batch`] path
+    /// instead.
+    ///
+    /// On the gather path the full output activation is never computed:
+    /// [`BatchScratch::output`] is left unset (stale) afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty batch, mismatched lengths or widths, or an
+    /// action index outside the output width.
+    pub fn loss_and_gradient_gather<'s>(
+        &self,
+        x: &Batch,
+        actions: &[usize],
+        targets: &[f64],
+        scratch: &'s mut BatchScratch,
+    ) -> (f64, &'s [f64]) {
+        let rows = x.rows();
+        assert!(rows > 0, "empty training batch");
+        assert_eq!(actions.len(), rows, "action/batch size mismatch");
+        assert_eq!(targets.len(), rows, "target/batch size mismatch");
+        let out_size = self.output_size();
+        assert!(
+            actions.iter().all(|&a| a < out_size),
+            "action index out of range"
+        );
+
+        let last = self.layers.len() - 1;
+        self.forward_layers(x, last, scratch);
+        if !self.gather_is_exact(x, targets, &scratch.activations[last]) {
+            let mut dense = std::mem::take(&mut scratch.targets);
+            dense.copy_from(self.forward_batch(x, scratch));
+            for (s, (&a, &y)) in actions.iter().zip(targets).enumerate() {
+                dense.row_mut(s)[a] = y;
+            }
+            let (loss, _) = self.backward_batch(&dense, scratch);
+            scratch.targets = dense;
+            return (loss, &scratch.flat);
+        }
+
+        let out = &self.layers[last];
+        let in_size = out.input_size();
+        let out_dim = out_size as f64;
+        let scale = 1.0 / rows as f64;
+        let w = out.weights.as_slice();
+        let hidden = &scratch.activations[last];
+        let gw = scratch.grad_w[last].as_mut_slice();
+        let gb = &mut scratch.grad_b[last];
+        gw.fill(0.0);
+        gb.fill(0.0);
+        scratch.delta.set_shape(rows, in_size);
+        let mut total_loss = 0.0;
+        for (s, (&a, &y)) in actions.iter().zip(targets).enumerate() {
+            let w_row = &w[a * in_size..(a + 1) * in_size];
+            let h = hidden.row(s);
+            let mut z = 0.0;
+            for (&wk, &hk) in w_row.iter().zip(h) {
+                z += wk * hk;
+            }
+            z += out.biases[a];
+            let q = out.activation.apply(z);
+            total_loss += self.loss.value(q, y) / out_dim;
+            let dz = self.loss.gradient(q, y) / out_dim * out.activation.derivative(z);
+            let d = dz * scale;
+            for (g, &hk) in gw[a * in_size..(a + 1) * in_size].iter_mut().zip(h) {
+                *g += d * hk;
+            }
+            gb[a] += dz * scale;
+            if last > 0 {
+                for (dl, &wk) in scratch.delta.row_mut(s).iter_mut().zip(w_row) {
+                    // `0.0 +` turns a `-0.0` product into `+0.0`, as the
+                    // dense sum, which starts at `+0.0`, does.
+                    *dl = 0.0 + wk * dz;
+                }
+            }
+        }
+
+        self.backprop_layers(last, rows, scale, scratch);
         (total_loss * scale, &scratch.flat)
+    }
+
+    /// Whether [`Mlp::loss_and_gradient_gather`] may take its gather
+    /// path: the scalar backend is active, the inputs and targets are
+    /// finite, the loss is zero with zero gradient wherever prediction
+    /// equals target, and `k·max|a|·max|W_out| + max|b_out|` — a bound
+    /// on every dense output — is finite with room to spare (which also
+    /// proves `hidden` and the output parameters finite).
+    fn gather_is_exact(&self, x: &Batch, targets: &[f64], hidden: &Batch) -> bool {
+        /// Far enough below `f64::MAX` that rounding cannot push a
+        /// bounded dot product to infinity.
+        const OUTPUT_BOUND: f64 = 1e300;
+        if kernel::simd_active() {
+            return false;
+        }
+        if let Loss::Huber { delta } = self.loss {
+            if delta.is_nan() || delta < 0.0 {
+                return false;
+            }
+        }
+        let out = self.layers.last().expect("at least one layer");
+        let bound =
+            out.input_size() as f64 * max_abs(hidden.as_slice()) * max_abs(out.weights.as_slice())
+                + max_abs(&out.biases);
+        max_abs(x.as_slice()).is_finite() && max_abs(targets).is_finite() && bound < OUTPUT_BOUND
     }
 
     /// Batched mean loss and flat gradient — [`Mlp::loss_and_gradient`]
@@ -590,6 +757,9 @@ pub struct BatchScratch {
     grad_b: Vec<Vec<f64>>,
     flat: Vec<f64>,
     params: Vec<f64>,
+    /// Dense target batch for the fallback of
+    /// [`Mlp::loss_and_gradient_gather`].
+    targets: Batch,
 }
 
 impl BatchScratch {
@@ -619,6 +789,7 @@ impl BatchScratch {
                 .collect(),
             flat: Vec::new(),
             params: Vec::new(),
+            targets: Batch::default(),
         }
     }
 
@@ -629,7 +800,9 @@ impl BatchScratch {
     }
 
     /// The network output left by the most recent
-    /// [`Mlp::forward_batch`] call.
+    /// [`Mlp::forward_batch`] call. [`Mlp::loss_and_gradient_gather`]
+    /// does not set it on its gather path, so after that call it holds
+    /// whatever an earlier forward pass left.
     pub fn output(&self) -> &Batch {
         self.activations
             .last()

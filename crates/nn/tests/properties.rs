@@ -210,3 +210,96 @@ proptest! {
         prop_assert_eq!(grad, &ref_grad[..]);
     }
 }
+
+/// How [`gather_gradient_equals_dense_targets`] damages its inputs.
+const POISON_NONE: u8 = 0;
+const POISON_NAN_INPUT: u8 = 1;
+const POISON_INF_INPUT: u8 = 2;
+const POISON_INF_WEIGHT: u8 = 3;
+const POISON_OVERFLOW: u8 = 4;
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    /// The gather-form DQN loss/gradient equals the dense batched path
+    /// on targets that copy the predictions except in the taken
+    /// action's column, bit for bit — on the gather path itself and on
+    /// its fallback, which non-finite inputs, an infinite output weight
+    /// and overflowing output weights must take.
+    #[test]
+    fn gather_gradient_equals_dense_targets(
+        seed in any::<u64>(),
+        input in 1usize..8,
+        h1 in 1usize..12,
+        h2 in 0usize..12,
+        out in 1usize..10,
+        rows in 1usize..65,
+        huber in any::<bool>(),
+        poison in 0u8..5,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let builder = MlpBuilder::new(input).hidden(h1);
+        let builder = if h2 > 0 { builder.hidden(h2) } else { builder };
+        let builder = if huber {
+            builder.loss(Loss::Huber { delta: 1.0 })
+        } else {
+            builder
+        };
+        let mut net = builder.output(out).build(&mut rng);
+        let last = net.layers().last().unwrap();
+        let out_weights = last.weights().len();
+        let out_start = net.param_count() - out_weights - out;
+        let mut params = net.flatten_params();
+        match poison {
+            POISON_INF_WEIGHT => {
+                params[out_start + rng.gen_range(0..out_weights)] = f64::INFINITY;
+            }
+            POISON_OVERFLOW => {
+                // Huge biases too, so the outputs overflow even when the
+                // last hidden layer is all zero after its ReLU.
+                for p in &mut params[out_start..out_start + out_weights] {
+                    *p *= 1e307;
+                }
+                for b in &mut params[out_start + out_weights..] {
+                    let sign = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+                    *b = sign * rng.gen_range(1.0..1.7) * 1e308;
+                }
+            }
+            _ => {}
+        }
+        net.set_params(&params);
+
+        let mut x = Batch::with_cols(input);
+        for _ in 0..rows {
+            let row: Vec<f64> = (0..input).map(|_| rng.gen_range(-1.5..1.5)).collect();
+            x.push_row(&row);
+        }
+        if poison == POISON_NAN_INPUT || poison == POISON_INF_INPUT {
+            let value = if poison == POISON_NAN_INPUT { f64::NAN } else { f64::NEG_INFINITY };
+            let s = rng.gen_range(0..rows);
+            x.row_mut(s)[rng.gen_range(0..input)] = value;
+        }
+        let mut actions: Vec<usize> = (0..rows).map(|_| rng.gen_range(0..out)).collect();
+        if rows > 1 {
+            actions[rows - 1] = actions[0];
+        }
+        let targets: Vec<f64> = (0..rows).map(|_| rng.gen_range(-3.0..3.0)).collect();
+
+        let mut dense_scratch = BatchScratch::for_network(&net);
+        let mut dense = net.forward_batch(&x, &mut dense_scratch).clone();
+        for (s, (&a, &y)) in actions.iter().zip(&targets).enumerate() {
+            dense.row_mut(s)[a] = y;
+        }
+        let (ref_loss, ref_grad) = net.backward_batch(&dense, &mut dense_scratch);
+
+        let mut scratch = BatchScratch::for_network(&net);
+        let (loss, grad) = net.loss_and_gradient_gather(&x, &actions, &targets, &mut scratch);
+        prop_assert_eq!(loss.to_bits(), ref_loss.to_bits());
+        prop_assert_eq!(bits(grad), bits(ref_grad));
+        // Only the fallback runs the full output layer.
+        let fell_back = scratch.output().rows() == rows;
+        prop_assert_eq!(fell_back, poison != POISON_NONE);
+    }
+}

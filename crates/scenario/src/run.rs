@@ -299,17 +299,9 @@ pub fn run_campaign(
             .find(|(i, _)| *i == index as u64)
             .map(|(_, p)| p.clone());
         let result = match saved {
-            Some(saved) => {
-                if saved.fingerprint != spec.fingerprint() {
-                    return Err(ScenarioError::Checkpoint(format!(
-                        "policy {policy:?}: checkpointed spec fingerprint \
-                         {:016x} != compiled {:016x}",
-                        saved.fingerprint,
-                        spec.fingerprint()
-                    )));
-                }
-                fleet.resume(&spec, &saved)
-            }
+            Some(saved) => fleet
+                .resume(&spec, &saved)
+                .map_err(|err| ScenarioError::Checkpoint(format!("policy {policy:?}: {err}")))?,
             None => {
                 let result = fleet.run(&spec);
                 progress.entries.push((

@@ -416,7 +416,10 @@ fn killed_fleet_campaign_resumes_bit_exactly_from_checkpointed_progress() {
     progress.save(&path).expect("progress save");
     let reloaded = CampaignProgress::load(&path).expect("progress load");
     std::fs::remove_file(&path).ok();
-    let resumed = Fleet::new().threads(8).resume(&spec, &reloaded);
+    let resumed = Fleet::new()
+        .threads(8)
+        .resume(&spec, &reloaded)
+        .expect("the checkpoint belongs to this spec");
 
     assert_eq!(
         resumed.outcomes, full.outcomes,
