@@ -53,6 +53,23 @@ else
     cargo test --release -q -p ctjam-nn --test simd_differential --test force_scalar
 fi
 
+# Field goldens: the Fig. 9-11 binaries are deterministic from their
+# fixed seeds and take about 10 s together, so their stdout must match
+# the committed results/*.txt byte for byte (the committed files were
+# captured through `cargo run`, whose Finished/Running lines are
+# dropped before the comparison). A star-network or field change that
+# moves a packet count fails here; regenerate the files only when the
+# change is meant to move them.
+echo "== fig09/fig10/fig11 stdout vs results/*.txt (field goldens) =="
+cargo build --release -q -p ctjam-bench \
+  --bin fig09_time_consumption --bin fig10_goodput_utilization --bin fig11_scheme_comparison
+for bin in fig09_time_consumption fig10_goodput_utilization fig11_scheme_comparison; do
+  grep -v -E '^ +(Finished|Running) ' "results/$bin.txt" \
+    | diff -u - <(target/release/$bin) \
+    || { echo "FAIL: $bin stdout differs from results/$bin.txt"; exit 1; }
+  echo "  $bin: matches results/$bin.txt"
+done
+
 echo "== cargo doc --no-deps (rustdoc warnings are errors) =="
 # Scoped to the suite's own crates: the vendored shims (rand, proptest,
 # criterion, bytes) predate today's rustdoc lints and are not ours to

@@ -330,8 +330,8 @@ impl AdaptiveEnv {
     /// This constructor quantifies why: when `announcements_encrypted` is
     /// `false`, the jammer decodes the polling frames and jams the exact
     /// announced channel — no prediction needed; when `true`, the sealed
-    /// payload ([`ctjam_net::crypto`]) is opaque and the jammer falls
-    /// back to the `kind` predictor.
+    /// payload is opaque and the jammer falls back to the `kind`
+    /// predictor.
     pub fn with_eavesdropping<R: Rng + ?Sized>(
         params: EnvParams,
         kind: PredictorKind,

@@ -107,6 +107,9 @@ const KIND_ACK: u8 = 0x02;
 const KIND_NEGOTIATE: u8 = 0x03;
 const KIND_NEGOTIATE_ACK: u8 = 0x04;
 
+/// Bytes the FCS appends to a frame body.
+const FCS_LEN: usize = 2;
+
 /// Maximum application payload once MAC header (4 B) and FCS (2 B) are
 /// accounted for.
 pub const MAX_PAYLOAD: usize = MAX_PSDU_LEN - 6;
@@ -222,11 +225,23 @@ impl MacFrame {
         MacFrame::from_psdu(phy.psdu())
     }
 
+    /// Length in bytes of the PSDU [`MacFrame::to_psdu`] produces, without
+    /// serializing: MAC header, payload and FCS. A data payload over
+    /// [`MAX_PAYLOAD`] cannot be serialized and counts as a full
+    /// [`MAX_PSDU_LEN`] PSDU.
+    pub fn psdu_len(&self) -> usize {
+        match self {
+            MacFrame::Data { payload, .. } if payload.len() > MAX_PAYLOAD => MAX_PSDU_LEN,
+            MacFrame::Data { payload, .. } => 4 + payload.len() + FCS_LEN,
+            MacFrame::Ack { .. } | MacFrame::Negotiate { .. } => 4 + FCS_LEN,
+            MacFrame::NegotiateAck { .. } => 2 + FCS_LEN,
+        }
+    }
+
     /// Over-the-air duration of this frame at the 250 kb/s PHY rate,
     /// including PHY overhead, in seconds.
     pub fn airtime_s(&self) -> f64 {
-        let psdu_len = self.to_psdu().map(|p| p.len()).unwrap_or(MAX_PSDU_LEN);
-        let total_bytes = psdu_len + ctjam_channel::per::PHY_OVERHEAD_BYTES;
+        let total_bytes = self.psdu_len() + ctjam_channel::per::PHY_OVERHEAD_BYTES;
         (total_bytes * 8) as f64 / ctjam_phy::zigbee::BIT_RATE
     }
 }
@@ -337,6 +352,44 @@ mod tests {
         assert!(large.airtime_s() > small.airtime_s());
         // 100 B payload + 4 B header + 2 B FCS + 6 B PHY = 112 B = 3.584 ms.
         assert!((large.airtime_s() - 0.003584).abs() < 1e-9);
+    }
+
+    /// The serializing airtime formula `airtime_s` replaced, kept as the
+    /// reference it must match bit for bit.
+    fn serialized_airtime_s(frame: &MacFrame) -> f64 {
+        let psdu_len = frame.to_psdu().map(|p| p.len()).unwrap_or(MAX_PSDU_LEN);
+        let total_bytes = psdu_len + ctjam_channel::per::PHY_OVERHEAD_BYTES;
+        (total_bytes * 8) as f64 / ctjam_phy::zigbee::BIT_RATE
+    }
+
+    #[test]
+    fn psdu_len_and_airtime_match_serialization_for_every_kind_and_length() {
+        let mut frames = vec![
+            MacFrame::Ack {
+                dst: NodeId(255),
+                seq: u16::MAX,
+            },
+            MacFrame::Negotiate {
+                dst: NodeId(0),
+                channel: 26,
+                power_level: 9,
+            },
+            MacFrame::NegotiateAck { src: NodeId(7) },
+        ];
+        frames.extend((0..=MAX_PAYLOAD + 8).map(|len| MacFrame::Data {
+            src: NodeId(len as u8),
+            seq: len as u16,
+            payload: vec![len as u8; len],
+        }));
+        for frame in &frames {
+            let serialized = frame.to_psdu().map(|p| p.len()).unwrap_or(MAX_PSDU_LEN);
+            assert_eq!(frame.psdu_len(), serialized, "{frame:?}");
+            assert_eq!(
+                frame.airtime_s().to_bits(),
+                serialized_airtime_s(frame).to_bits(),
+                "{frame:?}"
+            );
+        }
     }
 
     #[test]

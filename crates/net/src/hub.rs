@@ -2,7 +2,9 @@
 //! FH/PC announcements decided by an anti-jamming strategy upstream.
 
 use crate::frame::{MacFrame, NodeId};
-use std::collections::HashMap;
+
+/// One duplicate-detection slot per possible [`NodeId`].
+const NODE_SLOTS: usize = u8::MAX as usize + 1;
 
 /// The hub node.
 ///
@@ -25,7 +27,9 @@ pub struct Hub {
     delivered: u64,
     duplicates: u64,
     payload_bytes: u64,
-    last_seq: HashMap<NodeId, u16>,
+    /// Sequence number of each node's last delivery, indexed by
+    /// `NodeId.0`.
+    last_seq: [Option<u16>; NODE_SLOTS],
 }
 
 impl Hub {
@@ -37,7 +41,7 @@ impl Hub {
             delivered: 0,
             duplicates: 0,
             payload_bytes: 0,
-            last_seq: HashMap::new(),
+            last_seq: [None; NODE_SLOTS],
         }
     }
 
@@ -73,10 +77,11 @@ impl Hub {
     /// acknowledged but counted as duplicates, not goodput.
     pub fn handle_data(&mut self, frame: &MacFrame) -> Option<MacFrame> {
         if let MacFrame::Data { src, seq, payload } = frame {
-            if self.last_seq.get(src) == Some(seq) {
+            let last = &mut self.last_seq[usize::from(src.0)];
+            if *last == Some(*seq) {
                 self.duplicates += 1;
             } else {
-                self.last_seq.insert(*src, *seq);
+                *last = Some(*seq);
                 self.delivered += 1;
                 self.payload_bytes += payload.len() as u64;
             }
@@ -110,7 +115,7 @@ impl Hub {
         self.delivered = 0;
         self.duplicates = 0;
         self.payload_bytes = 0;
-        self.last_seq.clear();
+        self.last_seq = [None; NODE_SLOTS];
     }
 }
 
@@ -136,15 +141,52 @@ mod tests {
     #[test]
     fn different_nodes_tracked_independently() {
         let mut hub = Hub::new(11, 0);
-        for node in 1..=3u8 {
-            hub.handle_data(&MacFrame::Data {
-                src: NodeId(node),
-                seq: 0,
-                payload: vec![0; 4],
-            });
+        // The extremes of the address space get slots of their own.
+        for node in [0, 1, 2, 3, 255] {
+            hub.handle_data(&data(node, 0));
         }
-        assert_eq!(hub.delivered(), 3);
+        assert_eq!(hub.delivered(), 5);
         assert_eq!(hub.duplicates(), 0);
+        for node in [0, 255] {
+            hub.handle_data(&data(node, 0));
+        }
+        assert_eq!(hub.duplicates(), 2);
+    }
+
+    fn data(src: u8, seq: u16) -> MacFrame {
+        MacFrame::Data {
+            src: NodeId(src),
+            seq,
+            payload: vec![0; 3],
+        }
+    }
+
+    #[test]
+    fn duplicates_detected_per_node_across_interleaved_sources() {
+        let mut hub = Hub::new(11, 0);
+        // Interleaved streams: each node's retransmission is a duplicate
+        // even though another node delivered in between, and equal
+        // sequence numbers from different nodes are not.
+        let frames = [
+            (1, 0),
+            (2, 0),
+            (1, 0),
+            (3, 0),
+            (2, 0),
+            (1, 1),
+            (2, 1),
+            (1, 1),
+        ];
+        for (src, seq) in frames {
+            hub.handle_data(&data(src, seq));
+        }
+        assert_eq!(hub.delivered(), 5);
+        assert_eq!(hub.duplicates(), 3);
+        assert_eq!(hub.payload_bytes(), 15);
+        // Only the last delivery counts: going back to an older sequence
+        // number is a new delivery, not a duplicate.
+        hub.handle_data(&data(1, 0));
+        assert_eq!(hub.delivered(), 6);
     }
 
     #[test]
@@ -180,15 +222,18 @@ mod tests {
     #[test]
     fn reset_clears_counters_not_radio() {
         let mut hub = Hub::new(11, 3);
-        hub.handle_data(&MacFrame::Data {
-            src: NodeId(1),
-            seq: 0,
-            payload: vec![1],
-        });
+        for src in [0, 1, 255] {
+            hub.handle_data(&data(src, 4));
+        }
         hub.reset_counters();
+        assert_eq!(hub, Hub::new(11, 3));
         assert_eq!(hub.delivered(), 0);
         assert_eq!(hub.payload_bytes(), 0);
         assert_eq!(hub.channel(), 11);
         assert_eq!(hub.power_level(), 3);
+        // The last sequence numbers are forgotten too: a repeat of a
+        // pre-reset frame is a new delivery.
+        hub.handle_data(&data(255, 4));
+        assert_eq!((hub.delivered(), hub.duplicates()), (1, 0));
     }
 }

@@ -8,7 +8,7 @@
 //! channel, which costs seconds — the outliers visible in Fig. 9(b).
 
 use crate::timing::TimingModel;
-use ctjam_fault::{FaultPoint, FaultSite, RetryPolicy};
+use ctjam_fault::{FaultPoint, FaultSite, NullFaultPlan, RetryPolicy};
 use rand::Rng;
 
 /// Breakdown of one negotiation round.
@@ -20,14 +20,15 @@ pub struct NegotiationReport {
     pub polling_s: f64,
     /// Time spent recovering stragglers over the control channel, seconds.
     pub recovery_s: f64,
-    /// Indices of nodes that had to be recovered.
-    pub stragglers: Vec<usize>,
+    /// Number of nodes that had to be recovered.
+    pub stragglers: u64,
 }
 
 /// Simulates one polling round over `num_nodes` peripherals.
 ///
 /// Every node costs one [`TimingModel::poll_one_node`] draw; nodes flagged
-/// as stragglers additionally cost a control-channel recovery.
+/// as stragglers additionally cost a control-channel recovery. This is
+/// [`negotiate_with_faults`] with no fault plan.
 ///
 /// # Example
 ///
@@ -46,22 +47,14 @@ pub fn negotiate<R: Rng + ?Sized>(
     num_nodes: usize,
     rng: &mut R,
 ) -> NegotiationReport {
-    let mut polling = 0.0;
-    let mut recovery = 0.0;
-    let mut stragglers = Vec::new();
-    for node in 0..num_nodes {
-        polling += timing.poll_one_node(rng);
-        if timing.is_straggler(rng) {
-            recovery += timing.straggler_recovery(rng);
-            stragglers.push(node);
-        }
-    }
-    NegotiationReport {
-        total_s: polling + recovery,
-        polling_s: polling,
-        recovery_s: recovery,
-        stragglers,
-    }
+    negotiate_with_faults(
+        timing,
+        num_nodes,
+        &RetryPolicy::default(),
+        rng,
+        &mut NullFaultPlan,
+    )
+    .report
 }
 
 /// A [`NegotiationReport`] augmented with fault-injection accounting.
@@ -82,9 +75,9 @@ pub struct FaultyNegotiationReport {
     pub delays: u64,
     /// Re-poll attempts spent recovering dropped announcements.
     pub retries: u64,
-    /// Nodes whose retry budget ran out and fell back to a
+    /// Number of nodes whose retry budget ran out and fell back to a
     /// control-channel recovery.
-    pub exhausted: Vec<usize>,
+    pub exhausted: u64,
     /// Seconds charged purely to fault handling (backoffs, re-polls,
     /// duplicate answers, delay stalls, fallback recoveries).
     pub fault_time_s: f64,
@@ -116,22 +109,22 @@ pub fn negotiate_with_faults<R: Rng + ?Sized, F: FaultPoint>(
 ) -> FaultyNegotiationReport {
     let mut polling = 0.0;
     let mut recovery = 0.0;
-    let mut stragglers = Vec::new();
+    let mut stragglers = 0;
     let mut faulty = FaultyNegotiationReport {
         report: NegotiationReport {
             total_s: 0.0,
             polling_s: 0.0,
             recovery_s: 0.0,
-            stragglers: Vec::new(),
+            stragglers: 0,
         },
         drops: 0,
         duplicates: 0,
         delays: 0,
         retries: 0,
-        exhausted: Vec::new(),
+        exhausted: 0,
         fault_time_s: 0.0,
     };
-    for node in 0..num_nodes {
+    for _ in 0..num_nodes {
         polling += timing.poll_one_node(rng);
         if fault.should_fire(FaultSite::ControlDrop) {
             faulty.drops += 1;
@@ -147,7 +140,7 @@ pub fn negotiate_with_faults<R: Rng + ?Sized, F: FaultPoint>(
             }
             if !recovered {
                 faulty.fault_time_s += timing.straggler_recovery(rng);
-                faulty.exhausted.push(node);
+                faulty.exhausted += 1;
             }
         }
         if fault.should_fire(FaultSite::ControlDuplicate) {
@@ -160,7 +153,7 @@ pub fn negotiate_with_faults<R: Rng + ?Sized, F: FaultPoint>(
         }
         if timing.is_straggler(rng) {
             recovery += timing.straggler_recovery(rng);
-            stragglers.push(node);
+            stragglers += 1;
         }
     }
     faulty.report = NegotiationReport {
@@ -201,7 +194,7 @@ mod tests {
         for n in 0..10 {
             let r = negotiate(&t, n, &mut rng);
             assert!((r.total_s - n as f64 * 0.0131).abs() < 1e-9);
-            assert!(r.stragglers.is_empty());
+            assert_eq!(r.stragglers, 0);
         }
     }
 
@@ -243,7 +236,7 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(1);
         let r = negotiate(&t, 4, &mut rng);
-        assert_eq!(r.stragglers, vec![0, 1, 2, 3]);
+        assert_eq!(r.stragglers, 4);
         assert!(
             r.total_s > 4.0,
             "4 stragglers should cost > 4 s, got {}",
@@ -267,7 +260,7 @@ mod tests {
 
     #[test]
     fn zero_rate_faulted_negotiation_matches_plain_path() {
-        use ctjam_fault::{FaultPlan, FaultRates, NullFaultPlan};
+        use ctjam_fault::{FaultPlan, FaultRates};
 
         let t = TimingModel::default();
         let retry = RetryPolicy::default();
@@ -275,21 +268,15 @@ mod tests {
             let mut plain_rng = StdRng::seed_from_u64(seed);
             let plain = negotiate(&t, 8, &mut plain_rng);
 
-            let mut null_rng = StdRng::seed_from_u64(seed);
-            let mut null = NullFaultPlan;
-            let with_null = negotiate_with_faults(&t, 8, &retry, &mut null_rng, &mut null);
-
             let mut zero_rng = StdRng::seed_from_u64(seed);
             let mut zero = FaultPlan::new(seed, FaultRates::zero());
             let with_zero = negotiate_with_faults(&t, 8, &retry, &mut zero_rng, &mut zero);
 
-            assert_eq!(with_null.report, plain);
             assert_eq!(with_zero.report, plain);
-            assert_eq!(with_null.fault_time_s, 0.0);
+            assert_eq!(with_zero.fault_time_s, 0.0);
             assert_eq!(zero.total_fired(), 0);
             // The main streams stayed aligned past the call too.
             let follow: u64 = plain_rng.gen();
-            assert_eq!(null_rng.gen::<u64>(), follow);
             assert_eq!(zero_rng.gen::<u64>(), follow);
         }
     }
@@ -307,7 +294,7 @@ mod tests {
         let out = negotiate_with_faults(&t, 200, &retry, &mut rng, &mut plan);
         assert!(out.drops > 50, "drops = {}", out.drops);
         assert!(out.retries >= out.drops);
-        assert!(!out.exhausted.is_empty(), "no node exhausted its retries");
+        assert!(out.exhausted > 0, "no node exhausted its retries");
         assert!(out.fault_time_s > 0.0);
         assert!(out.report.total_s > 200.0 * 0.0131);
         // Every initial drop fired the site once; retry-round drops add more.
@@ -329,7 +316,7 @@ mod tests {
         assert_eq!(out.duplicates, 10);
         assert_eq!(out.delays, 10);
         assert_eq!(out.drops, 0);
-        assert!(out.exhausted.is_empty());
+        assert_eq!(out.exhausted, 0);
         // 10 regular polls + 10 duplicate polls + 10 base backoffs.
         assert!(out.fault_time_s > 10.0 * 0.0131);
         assert!((out.report.polling_s - 10.0 * 0.0131).abs() < 1e-9);

@@ -73,20 +73,33 @@ impl Peripheral {
     /// Builds the next data frame with a synthetic payload of
     /// `payload_len` bytes (clamped to [`MAX_PAYLOAD`]).
     pub fn next_data_frame(&mut self, payload_len: usize) -> MacFrame {
+        let mut frame = MacFrame::NegotiateAck { src: self.id };
+        self.refill_data_frame(payload_len, &mut frame);
+        frame
+    }
+
+    /// Overwrites `frame` with what [`Peripheral::next_data_frame`] would
+    /// return, reusing the payload buffer when `frame` already is a data
+    /// frame, so a caller that keeps one frame allocates nothing once its
+    /// buffer has grown to `payload_len`.
+    pub(crate) fn refill_data_frame(&mut self, payload_len: usize, frame: &mut MacFrame) {
         let seq = self.next_seq;
         self.next_seq = self.next_seq.wrapping_add(1);
         self.sent += 1;
         let len = payload_len.min(MAX_PAYLOAD);
+        let mut payload = match std::mem::replace(frame, MacFrame::NegotiateAck { src: self.id }) {
+            MacFrame::Data { payload, .. } => payload,
+            _ => Vec::new(),
+        };
         // Synthetic sensor payload: deterministic pattern keyed by seq so
         // duplicates are detectable end-to-end.
-        let payload = (0..len)
-            .map(|i| (usize::from(seq) + i) as u8 ^ self.id.0)
-            .collect();
-        MacFrame::Data {
+        payload.clear();
+        payload.extend((0..len).map(|i| (usize::from(seq) + i) as u8 ^ self.id.0));
+        *frame = MacFrame::Data {
             src: self.id,
             seq,
             payload,
-        }
+        };
     }
 
     /// Processes an ACK from the hub addressed to this node.
@@ -134,6 +147,29 @@ mod tests {
         assert!(matches!(f, MacFrame::Data { seq: u16::MAX, .. }));
         let f = n.next_data_frame(4);
         assert!(matches!(f, MacFrame::Data { seq: 0, .. }));
+    }
+
+    #[test]
+    fn refill_matches_fresh_frames_and_reuses_the_buffer() {
+        let mut fresh = Peripheral::new(NodeId(5), 11, 0);
+        let mut reused = fresh.clone();
+        let mut frame = MacFrame::Ack {
+            dst: NodeId(1),
+            seq: 3,
+        };
+        let mut buffer = None;
+        for len in [40, 12, 40, 0, 10_000] {
+            reused.refill_data_frame(len, &mut frame);
+            assert_eq!(frame, fresh.next_data_frame(len));
+            let MacFrame::Data { payload, .. } = &frame else {
+                unreachable!("refill always leaves a data frame")
+            };
+            if len <= 40 {
+                let first = *buffer.get_or_insert(payload.as_ptr());
+                assert_eq!(payload.as_ptr(), first, "payload reallocated at {len}");
+            }
+        }
+        assert_eq!(reused, fresh);
     }
 
     #[test]

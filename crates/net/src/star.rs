@@ -19,7 +19,7 @@ use crate::mac::{csma_ca, CsmaConfig};
 use crate::negotiation::{negotiate, negotiate_with_faults, FaultyNegotiationReport};
 use crate::node::Peripheral;
 use crate::timing::TimingModel;
-use ctjam_fault::{FaultPoint, FaultSite, RetryPolicy};
+use ctjam_fault::{FaultPoint, FaultSite, NullFaultPlan, RetryPolicy};
 use rand::Rng;
 
 /// Outcome of one time slot.
@@ -79,9 +79,11 @@ pub struct StarNetwork {
     payload_len: usize,
     /// Probability a CCA finds the channel busy from neighbor traffic.
     cca_busy_prob: f64,
-    /// Reusable buffer for the per-turn CCA pre-draws, so the data loop
-    /// allocates nothing in steady state.
+    /// Reusable buffer for the per-turn CCA pre-draws.
     cca_scratch: Vec<bool>,
+    /// The data frame every packet turn refills in place; with it and
+    /// `cca_scratch` grown, a fault-free slot allocates nothing.
+    data_frame: MacFrame,
     /// Reusable buffer for the peripheral id list used by
     /// [`StarNetwork::apply_decision`].
     ids_scratch: Vec<NodeId>,
@@ -107,6 +109,11 @@ impl StarNetwork {
             payload_len,
             cca_busy_prob: 0.05,
             cca_scratch: Vec::new(),
+            data_frame: MacFrame::Data {
+                src: NodeId::HUB,
+                seq: 0,
+                payload: Vec::new(),
+            },
             ids_scratch: Vec::new(),
         }
     }
@@ -155,6 +162,8 @@ impl StarNetwork {
     /// the per-packet loss probability on an up link (interference that
     /// degrades but does not kill the link, e.g. the paper's `TJ` state).
     ///
+    /// This is [`StarNetwork::run_slot_with_faults`] with no fault plan.
+    ///
     /// # Panics
     ///
     /// Panics if `residual_per` is outside `[0, 1]`.
@@ -165,75 +174,15 @@ impl StarNetwork {
         residual_per: f64,
         rng: &mut R,
     ) -> SlotOutcome {
-        assert!(
-            (0.0..=1.0).contains(&residual_per),
-            "residual_per must be a probability, got {residual_per}"
-        );
-        // Phase 1+2: decision inference + polling negotiation.
-        let mut overhead = self.timing.dqn_inference(rng);
-        overhead += negotiate(&self.timing, self.peripherals.len(), rng).total_s;
-
-        let mut outcome = SlotOutcome {
-            delivered: 0,
-            attempted: 0,
-            payload_bytes: 0,
-            overhead_s: overhead,
-            data_time_s: 0.0,
-        };
-
-        let budget = slot_s - overhead;
-        if budget <= 0.0 || self.peripherals.is_empty() {
-            return outcome;
-        }
-
-        // Phase 3: round-robin data exchange until the slot closes.
-        let num_peripherals = self.peripherals.len();
-        let mut elapsed = 0.0;
-        let mut turn = 0usize;
-        loop {
-            let index = turn % num_peripherals;
-            turn += 1;
-
-            let busy = self.cca_busy_prob;
-            // Pre-draw the (at most max_backoffs+1) CCA outcomes into the
-            // reusable scratch so the closure does not capture `rng`
-            // alongside its other uses (draw order is unchanged).
-            self.cca_scratch.clear();
-            for _ in 0..=self.csma.max_backoffs {
-                self.cca_scratch.push(rng.gen_bool(busy));
-            }
-            let cca_draws = &self.cca_scratch;
-            let access = csma_ca(&self.csma, rng, |attempt| cca_draws[attempt as usize]);
-            elapsed += access.elapsed_s;
-            if elapsed >= budget {
-                break;
-            }
-            if !access.granted {
-                continue;
-            }
-
-            let frame = self.peripherals[index].next_data_frame(self.payload_len);
-            let cycle = self.timing.packet_cycle(frame.airtime_s(), rng);
-            if elapsed + cycle > budget {
-                break;
-            }
-            elapsed += cycle;
-            outcome.attempted += 1;
-
-            let delivered = link_up && !rng.gen_bool(residual_per);
-            if delivered {
-                if let Some(ack) = self.hub.handle_data(&frame) {
-                    let granted = self.peripherals[index].handle_ack(&ack);
-                    debug_assert!(granted);
-                    outcome.delivered += 1;
-                    if let MacFrame::Data { payload, .. } = &frame {
-                        outcome.payload_bytes += payload.len() as u64;
-                    }
-                }
-            }
-        }
-        outcome.data_time_s = elapsed.min(budget);
-        outcome
+        self.run_slot_with_faults(
+            slot_s,
+            link_up,
+            residual_per,
+            &RetryPolicy::default(),
+            rng,
+            &mut NullFaultPlan,
+        )
+        .outcome
     }
 
     /// [`StarNetwork::run_slot`], with deterministic fault injection and
@@ -250,9 +199,9 @@ impl StarNetwork {
     ///   so the transmission is attempted but never delivered.
     ///
     /// All fault-only work is gated on [`FaultPoint::is_enabled`] or
-    /// happens inside fired branches, so with a
-    /// [`ctjam_fault::NullFaultPlan`] or an all-zero-rate plan this is
-    /// bit-exact with [`StarNetwork::run_slot`] on the same RNG state.
+    /// happens inside fired branches, so with an all-zero-rate plan this
+    /// is bit-exact with [`StarNetwork::run_slot`] (which runs it with a
+    /// [`NullFaultPlan`]) on the same RNG state.
     ///
     /// # Panics
     ///
@@ -311,6 +260,9 @@ impl StarNetwork {
             turn += 1;
 
             let busy = self.cca_busy_prob;
+            // Pre-draw the (at most max_backoffs+1) CCA outcomes into the
+            // reusable scratch so the closure does not capture `rng`
+            // alongside its other uses (draw order is unchanged).
             self.cca_scratch.clear();
             for _ in 0..=self.csma.max_backoffs {
                 self.cca_scratch.push(rng.gen_bool(busy));
@@ -325,7 +277,8 @@ impl StarNetwork {
                 continue;
             }
 
-            let frame = self.peripherals[index].next_data_frame(self.payload_len);
+            self.peripherals[index].refill_data_frame(self.payload_len, &mut self.data_frame);
+            let frame = &self.data_frame;
             let cycle = self.timing.packet_cycle(frame.airtime_s(), rng);
             if elapsed + cycle > budget {
                 break;
@@ -350,11 +303,11 @@ impl StarNetwork {
 
             let delivered = link_up && !rng.gen_bool(residual_per);
             if delivered && !corrupted {
-                if let Some(ack) = self.hub.handle_data(&frame) {
+                if let Some(ack) = self.hub.handle_data(frame) {
                     let granted = self.peripherals[index].handle_ack(&ack);
                     debug_assert!(granted);
                     faulty.outcome.delivered += 1;
-                    if let MacFrame::Data { payload, .. } = &frame {
+                    if let MacFrame::Data { payload, .. } = frame {
                         faulty.outcome.payload_bytes += payload.len() as u64;
                     }
                 }
@@ -470,7 +423,7 @@ mod tests {
 
     #[test]
     fn zero_rate_faulted_slot_matches_plain_path() {
-        use ctjam_fault::{FaultPlan, FaultPoint, FaultRates, NullFaultPlan};
+        use ctjam_fault::{FaultPlan, FaultRates};
 
         let retry = RetryPolicy::default();
         for seed in 0..3u64 {
@@ -478,24 +431,16 @@ mod tests {
             let mut plain_rng = rng(seed);
             let plain = plain_net.run_slot(2.0, true, 0.1, &mut plain_rng);
 
-            let mut null_net = StarNetwork::new(4);
-            let mut null_rng = rng(seed);
-            let mut null = NullFaultPlan;
-            let with_null =
-                null_net.run_slot_with_faults(2.0, true, 0.1, &retry, &mut null_rng, &mut null);
-
             let mut zero_net = StarNetwork::new(4);
             let mut zero_rng = rng(seed);
             let mut zero = FaultPlan::new(seed, FaultRates::zero());
             let with_zero =
                 zero_net.run_slot_with_faults(2.0, true, 0.1, &retry, &mut zero_rng, &mut zero);
 
-            assert_eq!(with_null.outcome, plain);
             assert_eq!(with_zero.outcome, plain);
-            assert_eq!(with_null.corrupted_frames, 0);
+            assert_eq!(with_zero.corrupted_frames, 0);
             assert_eq!(zero.total_fired(), 0);
             let follow: u64 = plain_rng.gen();
-            assert_eq!(null_rng.gen::<u64>(), follow);
             assert_eq!(zero_rng.gen::<u64>(), follow);
         }
     }
