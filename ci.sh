@@ -53,6 +53,19 @@ else
     cargo test --release -q -p ctjam-nn --test simd_differential --test force_scalar
 fi
 
+# Baseline-ISA stage: the default build targets the host CPU (see
+# .cargo/config.toml), so the suite above ran the vectorised loops of
+# ctjam-nn (the in-place Adam update's select pass among them) at that
+# CPU's vector width only. Re-run the nn suite built for baseline
+# x86-64 (SSE2), in its own target directory so the two builds do not
+# overwrite each other: its bit-exactness properties must hold there
+# too.
+if [ "$(uname -m)" = x86_64 ]; then
+  echo "== cargo test -p ctjam-nn --release (baseline x86-64 build) =="
+  RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/x86-64 \
+    cargo test --release -q -p ctjam-nn
+fi
+
 # Field goldens: the Fig. 9-11 binaries are deterministic from their
 # fixed seeds and take about 10 s together, so their stdout must match
 # the committed results/*.txt byte for byte (the committed files were

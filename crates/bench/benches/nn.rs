@@ -36,7 +36,7 @@ fn bench_nn(c: &mut Criterion) {
     let mut scratch = BatchScratch::for_network(&net);
     c.bench_function("mlp_gradient_batch32_batched", |b| {
         b.iter(|| {
-            let (loss, _) = net.loss_and_gradient_batch(&xs, &ys, &mut scratch);
+            let loss = net.loss_and_gradient_batch(&xs, &ys, &mut scratch);
             std::hint::black_box(loss)
         });
     });

@@ -7,7 +7,6 @@ use ctjam_fault::{FaultPoint, FaultSite, NullFaultPlan};
 use ctjam_nn::batch::Batch;
 use ctjam_nn::mlp::{BatchScratch, Mlp, MlpBuilder};
 use ctjam_nn::optimizer::Adam;
-use ctjam_nn::optimizer::Optimizer;
 use rand::Rng;
 
 /// A deep Q-network agent over `C × PL` (channel, power) actions.
@@ -58,7 +57,6 @@ struct TrainScratch {
     miss_states: Batch,
     /// Double DQN: per-sample action selected by the online network.
     selected: Vec<usize>,
-    params: Vec<f64>,
     /// Single-row observation batch for scratch-based inference.
     obs: Batch,
     /// Forward-only workspace for scratch-based inference (kept separate
@@ -91,7 +89,6 @@ impl TrainScratch {
                 rows
             },
             selected: Vec::with_capacity(batch_size),
-            params: Vec::new(),
             obs: Batch::with_cols(online.input_size()),
             infer: BatchScratch::for_network(online),
             softmax_weights: Vec::new(),
@@ -460,7 +457,8 @@ impl DqnAgent {
     ///   every scalar overwritten with a poisoned (NaN/Inf) value before
     ///   sampling;
     /// * [`FaultSite::GradientPoison`] — one gradient component is
-    ///   replaced with NaN/Inf after backprop.
+    ///   replaced with NaN/Inf after backprop, in the online network's
+    ///   per-layer gradient buffers.
     ///
     /// Recovery: on the fault-injected path the gradient is checked and
     /// a non-finite gradient **skips the optimizer step** (weights and
@@ -551,28 +549,24 @@ impl DqnAgent {
         }
 
         *train_steps += 1;
-        let (loss, _) = online.loss_and_gradient_gather(
+        let loss = online.loss_and_gradient_gather(
             &scratch.states,
             &scratch.actions,
             targets,
             &mut scratch.online,
         );
-        online.flatten_params_into(&mut scratch.params);
-        if fault.is_enabled() {
-            let mut grads = scratch.online.gradient().to_vec();
+        let grads = &mut scratch.online;
+        let skip = fault.is_enabled() && {
             if fault.should_fire(FaultSite::GradientPoison) {
-                let index = fault.pick_index(FaultSite::GradientPoison, grads.len());
-                grads[index] = fault.poison(FaultSite::GradientPoison);
+                let index = fault.pick_index(FaultSite::GradientPoison, online.param_count());
+                *grads.gradient_mut(index) = fault.poison(FaultSite::GradientPoison);
             }
-            if grads.iter().all(|g| g.is_finite()) {
-                optimizer.step(&mut scratch.params, &grads);
-                online.set_params(&scratch.params);
-            } else {
-                *skipped_train_steps += 1;
-            }
+            !grads.gradient_is_finite()
+        };
+        if skip {
+            *skipped_train_steps += 1;
         } else {
-            optimizer.step(&mut scratch.params, scratch.online.gradient());
-            online.set_params(&scratch.params);
+            online.adam_step(grads, optimizer);
         }
         *last_loss = Some(loss);
         loss
@@ -610,6 +604,7 @@ pub(crate) fn argmax(values: &[f64]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ctjam_nn::optimizer::Optimizer;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

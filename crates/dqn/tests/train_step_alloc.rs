@@ -1,7 +1,8 @@
 //! Allocation gate for the DQN train step: once the replay buffer has
 //! stopped growing and the training scratch has seen its largest
 //! shapes, `DqnAgent::train_step` makes no heap allocation — under
-//! vanilla targets (bootstrap memo hits and misses) and double DQN.
+//! vanilla targets (bootstrap memo hits and misses), double DQN, and
+//! `train_step_with_fault` under an enabled zero-rate fault plan.
 //!
 //! Allocation counts are deterministic where wall time is not, so this
 //! is the train step's hard performance gate. The counter is per thread
@@ -9,6 +10,7 @@
 
 use ctjam_dqn::agent::DqnAgent;
 use ctjam_dqn::config::DqnConfig;
+use ctjam_fault::{FaultPlan, FaultPoint, FaultRates};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -64,7 +66,10 @@ static ALLOCATOR: Counting = Counting;
 
 /// Allocations made by `train_step` over 300 steady-state steps, with a
 /// target sync (outside the count) every 20 steps so memo misses recur.
-fn steady_state_train_step_allocations(double_dqn: bool) -> u64 {
+/// With `faulted`, the steps run through `train_step_with_fault` under
+/// an enabled plan whose rates are all zero, so the fault path's
+/// gradient checks run on every step.
+fn steady_state_train_step_allocations(double_dqn: bool, faulted: bool) -> u64 {
     let config = DqnConfig {
         replay_capacity: 500,
         warmup: 64,
@@ -83,9 +88,17 @@ fn steady_state_train_step_allocations(double_dqn: bool) -> u64 {
     assert_eq!(agent.replay_len(), config.replay_capacity);
     // Warm-up: right after a sync every sampled bootstrap misses, so the
     // scratch reaches its largest shapes here.
+    let mut plan = FaultPlan::new(3, FaultRates::zero());
+    let mut train_step = |agent: &mut DqnAgent, rng: &mut StdRng| {
+        if faulted {
+            agent.train_step_with_fault(rng, &mut plan);
+        } else {
+            agent.train_step(rng);
+        }
+    };
     agent.sync_target();
-    agent.train_step(&mut rng);
-    agent.train_step(&mut rng);
+    train_step(&mut agent, &mut rng);
+    train_step(&mut agent, &mut rng);
 
     let mut counted = 0;
     for step in 0..300 {
@@ -93,9 +106,10 @@ fn steady_state_train_step_allocations(double_dqn: bool) -> u64 {
             agent.sync_target();
         }
         let before = allocations();
-        agent.train_step(&mut rng);
+        train_step(&mut agent, &mut rng);
         counted += allocations() - before;
     }
+    assert_eq!(plan.total_fired(), 0);
     counted
 }
 
@@ -107,6 +121,19 @@ fn steady_state_train_step_does_not_allocate() {
     assert!(allocations() > before, "counting allocator not installed");
     drop(probe);
 
-    assert_eq!(steady_state_train_step_allocations(false), 0, "vanilla DQN");
-    assert_eq!(steady_state_train_step_allocations(true), 0, "double DQN");
+    assert_eq!(
+        steady_state_train_step_allocations(false, false),
+        0,
+        "vanilla DQN"
+    );
+    assert_eq!(
+        steady_state_train_step_allocations(true, false),
+        0,
+        "double DQN"
+    );
+    assert_eq!(
+        steady_state_train_step_allocations(false, true),
+        0,
+        "vanilla DQN under a zero-rate fault plan"
+    );
 }

@@ -10,7 +10,9 @@
 //!   blocked matrix–matrix kernels. [`Mlp::loss_and_gradient_gather`]
 //!   is its DQN form: per-sample scalar targets for one taken action
 //!   each, with the output layer evaluated and differentiated only at
-//!   those actions.
+//!   those actions. The gradient stays in the scratch's per-layer
+//!   buffers, where [`Mlp::adam_step`] reads it to update the weights
+//!   in place.
 //!
 //! The paths are **bit-exact**: every dot product accumulates in the
 //! same order, so swapping one for the other cannot perturb a single
@@ -21,7 +23,7 @@ use crate::batch::Batch;
 use crate::kernel;
 use crate::loss::Loss;
 use crate::matrix::{gemm_tn_scaled_into, Matrix};
-use crate::optimizer::Optimizer;
+use crate::optimizer::{Adam, Optimizer};
 use rand::Rng;
 
 /// Largest magnitude in `xs` (`0.0` when empty), or a non-finite value
@@ -425,18 +427,6 @@ impl Mlp {
         loss
     }
 
-    /// Writes all parameters into `out` (cleared first), in
-    /// [`Mlp::flatten_params`] order, without allocating when `out` has
-    /// capacity.
-    pub fn flatten_params_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(self.param_count());
-        for layer in &self.layers {
-            out.extend_from_slice(layer.weights.as_slice());
-            out.extend_from_slice(&layer.biases);
-        }
-    }
-
     /// Batched forward pass over every row of `x` at once, recording the
     /// full activation trace in `scratch` (consumed by
     /// [`Mlp::backward_batch`]). Returns the output batch.
@@ -472,8 +462,8 @@ impl Mlp {
     /// Backward pass over the activation trace left in `scratch` by the
     /// most recent [`Mlp::forward_batch`] call (with this network and the
     /// inputs whose predictions `targets` refers to). Returns the mean
-    /// per-sample loss and the flat gradient, aligned with
-    /// [`Mlp::flatten_params`], both living in `scratch`.
+    /// per-sample loss and leaves the gradient in `scratch`
+    /// ([`BatchScratch::gradient`]).
     ///
     /// Bit-exact with [`Mlp::loss_and_gradient`] on the same pairs.
     ///
@@ -481,11 +471,7 @@ impl Mlp {
     ///
     /// Panics if `targets` is empty or its shape disagrees with the
     /// recorded trace.
-    pub fn backward_batch<'s>(
-        &self,
-        targets: &Batch,
-        scratch: &'s mut BatchScratch,
-    ) -> (f64, &'s [f64]) {
+    pub fn backward_batch(&self, targets: &Batch, scratch: &mut BatchScratch) -> f64 {
         let rows = targets.rows();
         assert!(rows > 0, "empty training batch");
         assert_eq!(targets.cols(), self.output_size(), "target width mismatch");
@@ -518,12 +504,12 @@ impl Mlp {
         }
 
         self.backprop_layers(self.layers.len(), rows, scale, scratch);
-        (total_loss * scale, &scratch.flat)
+        total_loss * scale
     }
 
     /// Backpropagates `scratch.delta` (`dL/da` of layer `top − 1`'s
-    /// output) through layers `top − 1 … 0` on the dense kernels, then
-    /// flattens every layer's gradient into `scratch.flat`.
+    /// output) through layers `top − 1 … 0` on the dense kernels, into
+    /// their gradient buffers.
     fn backprop_layers(&self, top: usize, rows: usize, scale: f64, scratch: &mut BatchScratch) {
         for l in (0..top).rev() {
             let layer = &self.layers[l];
@@ -565,16 +551,9 @@ impl Mlp {
                 scratch.dz.matmul_into(&layer.weights, &mut scratch.delta);
             }
         }
-
-        scratch.flat.clear();
-        scratch.flat.reserve(self.param_count());
-        for (gw, gb) in scratch.grad_w.iter().zip(&scratch.grad_b) {
-            scratch.flat.extend_from_slice(gw.as_slice());
-            scratch.flat.extend_from_slice(gb);
-        }
     }
 
-    /// Gather-form loss and flat gradient: the mean over samples of
+    /// Gather-form loss and gradient: the mean over samples of
     /// `loss(Q(x_s)[actions[s]], targets[s])`, the standard DQN loss
     /// `(Q(s, a) − y)²` in which only the taken action's output carries
     /// gradient.
@@ -594,20 +573,21 @@ impl Mlp {
     /// dense [`Mlp::forward_batch`] + [`Mlp::backward_batch`] path
     /// instead.
     ///
-    /// On the gather path the full output activation is never computed:
+    /// Returns the loss and leaves the gradient in `scratch`. On the
+    /// gather path the full output activation is never computed:
     /// [`BatchScratch::output`] is left unset (stale) afterwards.
     ///
     /// # Panics
     ///
     /// Panics on an empty batch, mismatched lengths or widths, or an
     /// action index outside the output width.
-    pub fn loss_and_gradient_gather<'s>(
+    pub fn loss_and_gradient_gather(
         &self,
         x: &Batch,
         actions: &[usize],
         targets: &[f64],
-        scratch: &'s mut BatchScratch,
-    ) -> (f64, &'s [f64]) {
+        scratch: &mut BatchScratch,
+    ) -> f64 {
         let rows = x.rows();
         assert!(rows > 0, "empty training batch");
         assert_eq!(actions.len(), rows, "action/batch size mismatch");
@@ -626,9 +606,9 @@ impl Mlp {
             for (s, (&a, &y)) in actions.iter().zip(targets).enumerate() {
                 dense.row_mut(s)[a] = y;
             }
-            let (loss, _) = self.backward_batch(&dense, scratch);
+            let loss = self.backward_batch(&dense, scratch);
             scratch.targets = dense;
-            return (loss, &scratch.flat);
+            return loss;
         }
 
         let out = &self.layers[last];
@@ -669,7 +649,7 @@ impl Mlp {
         }
 
         self.backprop_layers(last, rows, scale, scratch);
-        (total_loss * scale, &scratch.flat)
+        total_loss * scale
     }
 
     /// Whether [`Mlp::loss_and_gradient_gather`] may take its gather
@@ -697,48 +677,83 @@ impl Mlp {
         max_abs(x.as_slice()).is_finite() && max_abs(targets).is_finite() && bound < OUTPUT_BOUND
     }
 
-    /// Batched mean loss and flat gradient — [`Mlp::loss_and_gradient`]
-    /// over packed inputs/targets with zero per-sample allocation.
+    /// Batched mean loss and gradient — [`Mlp::loss_and_gradient`]
+    /// over packed inputs/targets with zero per-sample allocation. The
+    /// gradient stays in `scratch` ([`BatchScratch::gradient`]).
     ///
     /// # Panics
     ///
     /// Panics on an empty batch or mismatched widths.
-    pub fn loss_and_gradient_batch<'s>(
+    pub fn loss_and_gradient_batch(
         &self,
         x: &Batch,
         targets: &Batch,
-        scratch: &'s mut BatchScratch,
-    ) -> (f64, &'s [f64]) {
+        scratch: &mut BatchScratch,
+    ) -> f64 {
         assert_eq!(x.rows(), targets.rows(), "input/target batch mismatch");
         self.forward_batch(x, scratch);
         self.backward_batch(targets, scratch)
     }
 
-    /// One optimization step on a packed minibatch; returns the
-    /// pre-update mean loss. Bit-exact with [`Mlp::train_batch`] on the
-    /// same pairs.
+    /// One Adam step on a packed minibatch; returns the pre-update mean
+    /// loss. Bit-exact with [`Mlp::train_batch`] on the same pairs.
     ///
     /// # Panics
     ///
     /// Panics on an empty batch or mismatched widths.
-    pub fn train_minibatch<O: Optimizer>(
+    pub fn train_minibatch(
         &mut self,
         x: &Batch,
         targets: &Batch,
         scratch: &mut BatchScratch,
-        opt: &mut O,
+        adam: &mut Adam,
     ) -> f64 {
-        let (loss, _) = self.loss_and_gradient_batch(x, targets, scratch);
-        self.flatten_params_into(&mut scratch.params);
-        opt.step(&mut scratch.params, &scratch.flat);
-        self.set_params(&scratch.params);
+        let loss = self.loss_and_gradient_batch(x, targets, scratch);
+        self.adam_step(scratch, adam);
         loss
+    }
+
+    /// One Adam update from the gradient the most recent backward pass
+    /// left in `scratch`, written straight into each layer's weights,
+    /// their cached transpose and its biases. The moments stay in
+    /// [`Mlp::flatten_params`] order, so this is bit-exact with
+    /// `flatten_params` → [`Optimizer::step`] on
+    /// [`BatchScratch::gradient`] → [`Mlp::set_params`], without the
+    /// three flat copies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `adam` already holds moments for a different parameter
+    /// count, or `scratch` was built for another architecture.
+    pub fn adam_step(&mut self, scratch: &BatchScratch, adam: &mut Adam) {
+        assert_eq!(
+            scratch.grad_w.len(),
+            self.layers.len(),
+            "scratch/network mismatch"
+        );
+        let (step, m, v) = adam.begin_step(self.param_count());
+        let mut at = 0;
+        let mut update = |params: &mut [f64], grads: &[f64]| {
+            let run = at..at + params.len();
+            at = run.end;
+            step.apply(params, grads, &mut m[run.clone()], &mut v[run]);
+        };
+        for ((layer, gw), gb) in self
+            .layers
+            .iter_mut()
+            .zip(&scratch.grad_w)
+            .zip(&scratch.grad_b)
+        {
+            update(layer.weights.as_mut_slice(), gw.as_slice());
+            layer.refresh_transpose();
+            update(&mut layer.biases, gb);
+        }
     }
 }
 
 /// Reusable buffers for the batched forward/backward path: layer
-/// activations and pre-activations for a whole minibatch, gradient
-/// accumulators, and the flattened gradient/parameter vectors. Create one
+/// activations and pre-activations for a whole minibatch, and the
+/// per-layer gradient accumulators. Create one
 /// per network with [`BatchScratch::for_network`] and reuse it across
 /// training steps — after warm-up no path through
 /// [`Mlp::train_minibatch`] allocates.
@@ -755,8 +770,6 @@ pub struct BatchScratch {
     dz: Batch,
     grad_w: Vec<Matrix>,
     grad_b: Vec<Vec<f64>>,
-    flat: Vec<f64>,
-    params: Vec<f64>,
     /// Dense target batch for the fallback of
     /// [`Mlp::loss_and_gradient_gather`].
     targets: Batch,
@@ -787,16 +800,45 @@ impl BatchScratch {
                 .iter()
                 .map(|l| vec![0.0; l.output_size()])
                 .collect(),
-            flat: Vec::new(),
-            params: Vec::new(),
             targets: Batch::default(),
         }
     }
 
-    /// The flat gradient left by the most recent backward pass, aligned
-    /// with [`Mlp::flatten_params`].
-    pub fn gradient(&self) -> &[f64] {
-        &self.flat
+    /// The gradient left by the most recent backward pass, flattened
+    /// into a new vector aligned with [`Mlp::flatten_params`].
+    pub fn gradient(&self) -> Vec<f64> {
+        self.gradient_parts().flatten().copied().collect()
+    }
+
+    /// The gradient component at `index` in [`Mlp::flatten_params`]
+    /// order, for writing in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not below the parameter count.
+    pub fn gradient_mut(&mut self, mut index: usize) -> &mut f64 {
+        for (gw, gb) in self.grad_w.iter_mut().zip(&mut self.grad_b) {
+            for part in [gw.as_mut_slice(), gb.as_mut_slice()] {
+                if index < part.len() {
+                    return &mut part[index];
+                }
+                index -= part.len();
+            }
+        }
+        panic!("gradient index out of range")
+    }
+
+    /// Whether every gradient component is finite.
+    pub fn gradient_is_finite(&self) -> bool {
+        self.gradient_parts().all(|part| max_abs(part).is_finite())
+    }
+
+    /// Each layer's weight gradient (row-major), then its bias gradient.
+    fn gradient_parts(&self) -> impl Iterator<Item = &[f64]> {
+        self.grad_w
+            .iter()
+            .zip(&self.grad_b)
+            .flat_map(|(gw, gb)| [gw.as_slice(), gb.as_slice()])
     }
 
     /// The network output left by the most recent
@@ -974,9 +1016,9 @@ mod tests {
         let x = Batch::from_rows(&x_refs);
         let t = Batch::from_rows(&t_refs);
         let mut scratch = BatchScratch::for_network(&net);
-        let (loss, grad) = net.loss_and_gradient_batch(&x, &t, &mut scratch);
+        let loss = net.loss_and_gradient_batch(&x, &t, &mut scratch);
         assert_eq!(loss, ref_loss);
-        assert_eq!(grad, &ref_grad[..]);
+        assert_eq!(scratch.gradient(), ref_grad);
     }
 
     #[test]

@@ -205,9 +205,9 @@ proptest! {
         let x = Batch::from_rows(&x_refs);
         let t = Batch::from_rows(&t_refs);
         let mut scratch = BatchScratch::for_network(&net);
-        let (loss, grad) = net.loss_and_gradient_batch(&x, &t, &mut scratch);
+        let loss = net.loss_and_gradient_batch(&x, &t, &mut scratch);
         prop_assert_eq!(loss, ref_loss);
-        prop_assert_eq!(grad, &ref_grad[..]);
+        prop_assert_eq!(scratch.gradient(), ref_grad);
     }
 }
 
@@ -292,12 +292,12 @@ proptest! {
         for (s, (&a, &y)) in actions.iter().zip(&targets).enumerate() {
             dense.row_mut(s)[a] = y;
         }
-        let (ref_loss, ref_grad) = net.backward_batch(&dense, &mut dense_scratch);
+        let ref_loss = net.backward_batch(&dense, &mut dense_scratch);
 
         let mut scratch = BatchScratch::for_network(&net);
-        let (loss, grad) = net.loss_and_gradient_gather(&x, &actions, &targets, &mut scratch);
+        let loss = net.loss_and_gradient_gather(&x, &actions, &targets, &mut scratch);
         prop_assert_eq!(loss.to_bits(), ref_loss.to_bits());
-        prop_assert_eq!(bits(grad), bits(ref_grad));
+        prop_assert_eq!(bits(&scratch.gradient()), bits(&dense_scratch.gradient()));
         // Only the fallback runs the full output layer.
         let fell_back = scratch.output().rows() == rows;
         prop_assert_eq!(fell_back, poison != POISON_NONE);
