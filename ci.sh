@@ -66,17 +66,19 @@ if [ "$(uname -m)" = x86_64 ]; then
     cargo test --release -q -p ctjam-nn
 fi
 
-# Field goldens: the Fig. 9-11 binaries are deterministic from their
-# fixed seeds and take about 10 s together, so their stdout must match
-# the committed results/*.txt byte for byte (the committed files were
-# captured through `cargo run`, whose Finished/Running lines are
-# dropped before the comparison). A star-network or field change that
-# moves a packet count fails here; regenerate the files only when the
-# change is meant to move them.
-echo "== fig09/fig10/fig11 stdout vs results/*.txt (field goldens) =="
-cargo build --release -q -p ctjam-bench \
-  --bin fig09_time_consumption --bin fig10_goodput_utilization --bin fig11_scheme_comparison
-for bin in fig09_time_consumption fig10_goodput_utilization fig11_scheme_comparison; do
+# Result goldens: the Fig. 1, Fig. 2(b), MDP-threshold and Fig. 9-11
+# binaries are deterministic from their fixed seeds and take about 10 s
+# together, so their stdout must match the committed results/*.txt byte
+# for byte (the committed files were captured through `cargo run`, whose
+# Finished/Running lines are dropped before the comparison). A PHY,
+# channel, MDP, star-network or field change that moves a published
+# number fails here; regenerate the files only when the change is meant
+# to move them.
+echo "== fig01/fig02/mdp_threshold/fig09/fig10/fig11 stdout vs results/*.txt (result goldens) =="
+golden_bins="fig01_emulation_error fig02_jamming_effect mdp_threshold_analysis
+  fig09_time_consumption fig10_goodput_utilization fig11_scheme_comparison"
+cargo build --release -q -p ctjam-bench $(printf -- '--bin %s ' $golden_bins)
+for bin in $golden_bins; do
   grep -v -E '^ +(Finished|Running) ' "results/$bin.txt" \
     | diff -u - <(target/release/$bin) \
     || { echo "FAIL: $bin stdout differs from results/$bin.txt"; exit 1; }

@@ -44,7 +44,7 @@
 //!
 //! Knobs: `CTJAM_BENCH_QUICK` (small counts), `CTJAM_SERVE_CLIENTS`
 //! (default 8), `CTJAM_SERVE_REQUESTS` (per client),
-//! `CTJAM_SERVE_MAX_BATCH`, `CTJAM_SERVE_MAX_WAIT_US`,
+//! `CTJAM_SERVE_MAX_BATCH`,
 //! `CTJAM_SERVE_WINDOW` (per-client pipeline depth, default 32),
 //! `CTJAM_SERVE_SLO_US` (the slo mode's queue-delay budget).
 
@@ -102,7 +102,6 @@ impl Server {
                 cmd.arg(ckpt)
                     .arg("127.0.0.1:0")
                     .env("CTJAM_SERVE_MAX_BATCH", spec.max_batch.to_string())
-                    .env("CTJAM_SERVE_MAX_WAIT_US", spec.max_wait_us.to_string())
                     .env("CTJAM_SERVE_INT8", if spec.int8 { "1" } else { "0" })
                     .env("CTJAM_SERVE_WORKERS", spec.workers.to_string());
                 if let Some(us) = spec.max_queue_delay_us {
@@ -150,7 +149,6 @@ impl Server {
             Err(_) => {
                 let config = ServerConfig {
                     max_batch: spec.max_batch,
-                    max_wait: Duration::from_micros(spec.max_wait_us),
                     quantize_int8: spec.int8,
                     workers: spec.workers,
                     max_queue_delay: spec.max_queue_delay_us.map(Duration::from_micros),
@@ -351,7 +349,6 @@ fn drive_client(
 struct ModeSpec {
     label: &'static str,
     max_batch: usize,
-    max_wait_us: u64,
     int8: bool,
     workers: usize,
     max_queue_delay_us: Option<u64>,
@@ -360,11 +357,10 @@ struct ModeSpec {
 }
 
 impl ModeSpec {
-    fn new(label: &'static str, max_batch: usize, max_wait_us: u64) -> ModeSpec {
+    fn new(label: &'static str, max_batch: usize) -> ModeSpec {
         ModeSpec {
             label,
             max_batch,
-            max_wait_us,
             int8: false,
             workers: 1,
             max_queue_delay_us: None,
@@ -472,7 +468,6 @@ fn main() {
     let clients = env_usize("CTJAM_SERVE_CLIENTS", 8);
     let requests = env_usize("CTJAM_SERVE_REQUESTS", if quick { 250 } else { 4_000 });
     let max_batch = env_usize("CTJAM_SERVE_MAX_BATCH", 32);
-    let max_wait_us = env_usize("CTJAM_SERVE_MAX_WAIT_US", 200) as u64;
     let window = env_usize("CTJAM_SERVE_WINDOW", 32);
     let slo_us = env_usize("CTJAM_SERVE_SLO_US", 1_000) as u64;
 
@@ -506,7 +501,7 @@ fn main() {
 
     println!(
         "serve_bench: {clients} clients x {requests} requests (window {window}), net {:?}, \
-         max_batch {max_batch} (deadline {max_wait_us} us), {threads} hw thread(s){}",
+         max_batch {max_batch}, {threads} hw thread(s){}",
         config.hidden,
         if quick { " [quick]" } else { "" },
     );
@@ -537,14 +532,14 @@ fn main() {
     );
 
     let (batched, _) = run_mode(
-        &ModeSpec::new("batched", max_batch, max_wait_us),
+        &ModeSpec::new("batched", max_batch),
         policy(),
         &default_assign,
         &ckpt,
         window,
     );
     let (unbatched, _) = run_mode(
-        &ModeSpec::new("max_batch=1", 1, max_wait_us),
+        &ModeSpec::new("max_batch=1", 1),
         policy(),
         &default_assign,
         &ckpt,
@@ -553,7 +548,7 @@ fn main() {
     let (int8, int8_active) = run_mode(
         &ModeSpec {
             int8: true,
-            ..ModeSpec::new("int8", max_batch, max_wait_us)
+            ..ModeSpec::new("int8", max_batch)
         },
         policy(),
         &default_assign,
@@ -566,7 +561,7 @@ fn main() {
     let (workers2, _) = run_mode(
         &ModeSpec {
             workers: 2,
-            ..ModeSpec::new("workers=2", max_batch, max_wait_us)
+            ..ModeSpec::new("workers=2", max_batch)
         },
         policy(),
         &default_assign,
@@ -576,7 +571,7 @@ fn main() {
     let (workers4, _) = run_mode(
         &ModeSpec {
             workers: 4,
-            ..ModeSpec::new("workers=4", max_batch, max_wait_us)
+            ..ModeSpec::new("workers=4", max_batch)
         },
         policy(),
         &default_assign,
@@ -587,7 +582,7 @@ fn main() {
         &ModeSpec {
             workers: 2,
             tenants: vec![(7, ckpt_b.clone())],
-            ..ModeSpec::new("multi-tenant", max_batch, max_wait_us)
+            ..ModeSpec::new("multi-tenant", max_batch)
         },
         policy(),
         &split_assign,
@@ -597,7 +592,7 @@ fn main() {
     let (slo, _) = run_mode(
         &ModeSpec {
             max_queue_delay_us: Some(slo_us),
-            ..ModeSpec::new("slo", max_batch, max_wait_us)
+            ..ModeSpec::new("slo", max_batch)
         },
         policy(),
         &default_assign,
@@ -656,7 +651,6 @@ fn main() {
     manifest.push_extra("requests_per_client", requests as f64);
     manifest.push_extra("pipeline_window", window as f64);
     manifest.push_extra("max_batch", max_batch as f64);
-    manifest.push_extra("max_wait_us", max_wait_us as f64);
     manifest.push_extra(
         "served_requests",
         (batched.requests

@@ -1,17 +1,20 @@
 //! The micro-batching request queue.
 //!
 //! Connection threads [`BatchQueue::push`] one [`PendingRequest`] per
-//! observe request; a single batch-worker thread pulls coalesced batches
-//! with [`BatchQueue::next_batch`], which flushes on a **size-or-deadline
-//! trigger**: as soon as `max_batch` requests are queued, or `max_wait`
-//! after the *oldest* queued request arrived, whichever comes first. The
-//! queue is bounded — a push against a full queue fails immediately with
-//! [`PushError::Busy`] so backpressure reaches the client as a typed
-//! `ServerBusy` response instead of unbounded buffering.
+//! observe request; a single batch-worker thread pulls batches with
+//! [`BatchQueue::next_batch`], which is **work-conserving**: a worker
+//! with anything queued takes up to `max_batch` requests at once, FIFO,
+//! and waits only while the queue is empty. No timer holds a request
+//! back. Requests that arrive while the worker is busy queue up and
+//! leave together in its next flush, so batches grow with load through
+//! queueing alone. The queue is bounded — a push against a full queue
+//! fails immediately with [`PushError::Busy`] so backpressure reaches
+//! the client as a typed `ServerBusy` response instead of unbounded
+//! buffering.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One in-flight observe request: the decoded observation and the
 /// reply handle the batch worker answers through. The queue is generic
@@ -20,8 +23,8 @@ use std::time::{Duration, Instant};
 pub(crate) struct PendingRequest<R> {
     /// Decoded observation features.
     pub observation: Vec<f64>,
-    /// When the request entered the queue (latency accounting and the
-    /// deadline trigger).
+    /// When the request entered the queue (queue-wait and latency
+    /// accounting).
     pub enqueued: Instant,
     /// Where the batch worker delivers the chosen action.
     pub reply: R,
@@ -61,7 +64,9 @@ impl<R> BatchQueue<R> {
         }
     }
 
-    /// Enqueues one request, waking the batch worker.
+    /// Enqueues one request. Only the push that makes the queue
+    /// non-empty wakes the worker: the worker waits only on an empty
+    /// queue, so any later push finds it busy or already woken.
     pub fn push(&self, request: PendingRequest<R>) -> Result<(), PushError> {
         let mut inner = self.inner.lock().expect("batch queue poisoned");
         if inner.closed {
@@ -70,9 +75,12 @@ impl<R> BatchQueue<R> {
         if inner.pending.len() >= self.capacity {
             return Err(PushError::Busy);
         }
+        let was_empty = inner.pending.is_empty();
         inner.pending.push_back(request);
         drop(inner);
-        self.wakeup.notify_one();
+        if was_empty {
+            self.wakeup.notify_one();
+        }
         Ok(())
     }
 
@@ -93,72 +101,32 @@ impl<R> BatchQueue<R> {
             .len()
     }
 
-    /// Blocks until a batch is ready, then moves up to `max_batch`
-    /// requests into `out` (cleared first). A batch becomes ready when
-    /// `max_batch` requests are queued, or `max_wait` has elapsed since
-    /// the oldest queued request arrived, or the queue is closed (the
-    /// drain path flushes immediately). Returns `false` — with `out`
-    /// empty — only when the queue is closed *and* fully drained.
-    pub fn next_batch(
-        &self,
-        max_batch: usize,
-        max_wait: Duration,
-        out: &mut Vec<PendingRequest<R>>,
-    ) -> bool {
-        let max_batch = max_batch.max(1);
+    /// Moves up to `max_batch` queued requests, oldest first, into `out`
+    /// (cleared first), blocking only while the queue is empty. Returns
+    /// `false` — with `out` empty — only when the queue is closed *and*
+    /// fully drained.
+    pub fn next_batch(&self, max_batch: usize, out: &mut Vec<PendingRequest<R>>) -> bool {
         out.clear();
-        let mut inner = self.inner.lock().expect("batch queue poisoned");
-        loop {
-            if inner.pending.is_empty() {
-                if inner.closed {
-                    return false;
-                }
-                inner = self.wakeup.wait(inner).expect("batch queue poisoned");
-                continue;
-            }
-            // The deadline anchors to the *oldest* request so a burst
-            // that queued while the worker was busy flushes at once.
-            let deadline = inner.pending.front().expect("nonempty").enqueued + max_wait;
-            while inner.pending.len() < max_batch && !inner.closed {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, timeout) = self
-                    .wakeup
-                    .wait_timeout(inner, deadline - now)
-                    .expect("batch queue poisoned");
-                inner = guard;
-                if timeout.timed_out() {
-                    break;
-                }
-                if inner.pending.is_empty() {
-                    break; // woken by close() after a racing drain
-                }
-            }
-            if inner.pending.is_empty() {
-                continue;
-            }
-            let take = inner.pending.len().min(max_batch);
-            out.extend(inner.pending.drain(..take));
-            return true;
-        }
+        let inner = self.inner.lock().expect("batch queue poisoned");
+        let mut inner = self
+            .wakeup
+            .wait_while(inner, |i| i.pending.is_empty() && !i.closed)
+            .expect("batch queue poisoned");
+        let take = inner.pending.len().min(max_batch.max(1));
+        out.extend(inner.pending.drain(..take));
+        take > 0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc::channel;
+    use std::sync::mpsc::{channel, Receiver, Sender};
     use std::sync::Arc;
     use std::thread;
+    use std::time::Duration;
 
-    fn request(
-        tag: f64,
-    ) -> (
-        PendingRequest<std::sync::mpsc::Sender<u32>>,
-        std::sync::mpsc::Receiver<u32>,
-    ) {
+    fn request(tag: f64) -> (PendingRequest<Sender<u32>>, Receiver<u32>) {
         let (tx, rx) = channel();
         (
             PendingRequest {
@@ -170,51 +138,53 @@ mod tests {
         )
     }
 
-    #[test]
-    fn flushes_immediately_at_max_batch() {
-        let q = BatchQueue::new(8);
-        for i in 0..3 {
-            q.push(request(i as f64).0).unwrap();
-        }
-        let mut out = Vec::new();
-        // max_wait far in the future: only the size trigger can flush
-        // this fast, and it must hand over exactly max_batch in order.
-        let start = Instant::now();
-        assert!(q.next_batch(3, Duration::from_secs(60), &mut out));
-        assert!(start.elapsed() < Duration::from_secs(5));
-        let tags: Vec<f64> = out.iter().map(|p| p.observation[0]).collect();
-        assert_eq!(tags, vec![0.0, 1.0, 2.0]);
+    fn tags(out: &[PendingRequest<Sender<u32>>]) -> Vec<f64> {
+        out.iter().map(|p| p.observation[0]).collect()
     }
 
     #[test]
-    fn flushes_a_partial_batch_at_the_deadline() {
-        let q = BatchQueue::new(8);
-        q.push(request(7.0).0).unwrap();
-        let mut out = Vec::new();
-        let start = Instant::now();
-        assert!(q.next_batch(64, Duration::from_millis(20), &mut out));
-        assert_eq!(out.len(), 1);
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "deadline flush took {:?}",
-            start.elapsed()
-        );
-    }
-
-    #[test]
-    fn oversized_backlog_drains_in_max_batch_chunks() {
+    fn a_backlog_leaves_at_once_in_max_batch_chunks_fifo() {
+        // Requests that queued while no worker was taking them (the
+        // shape of a burst that arrives during a forward) leave in the
+        // next flushes, max_batch at a time, in arrival order; the short
+        // last chunk leaves without waiting for more.
         let q = BatchQueue::new(16);
         for i in 0..10 {
             q.push(request(i as f64).0).unwrap();
         }
         let mut out = Vec::new();
-        assert!(q.next_batch(4, Duration::from_millis(1), &mut out));
-        assert_eq!(out.len(), 4);
-        assert!(q.next_batch(4, Duration::from_millis(1), &mut out));
-        assert_eq!(out.len(), 4);
-        assert!(q.next_batch(4, Duration::from_millis(1), &mut out));
-        assert_eq!(out.len(), 2);
+        assert!(q.next_batch(4, &mut out));
+        assert_eq!(tags(&out), vec![0.0, 1.0, 2.0, 3.0]);
+        assert!(q.next_batch(4, &mut out));
+        assert_eq!(tags(&out), vec![4.0, 5.0, 6.0, 7.0]);
+        assert!(q.next_batch(4, &mut out));
+        assert_eq!(tags(&out), vec![8.0, 9.0]);
         assert_eq!(q.depth(), 0);
+    }
+
+    #[test]
+    fn an_idle_worker_takes_a_lone_request_at_once() {
+        // The worker parks on the empty queue; the push that makes it
+        // non-empty must wake it, and it must leave with the lone
+        // request instead of waiting for a fuller batch.
+        let q = Arc::new(BatchQueue::<Sender<u32>>::new(8));
+        let (done_tx, done_rx) = channel();
+        let worker = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || {
+                let mut out = Vec::new();
+                let alive = q.next_batch(64, &mut out);
+                done_tx.send((alive, tags(&out))).unwrap();
+            })
+        };
+        thread::sleep(Duration::from_millis(20));
+        q.push(request(3.0).0).unwrap();
+        let (alive, got) = done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the idle worker was not woken by the push");
+        assert!(alive);
+        assert_eq!(got, vec![3.0]);
+        worker.join().expect("worker panicked");
     }
 
     #[test]
@@ -234,22 +204,22 @@ mod tests {
         q.close();
         assert_eq!(q.push(request(2.0).0).unwrap_err(), PushError::Closed);
         let mut out = Vec::new();
-        // Closed: the pending requests flush without waiting out the
-        // deadline, then the queue reports drained.
-        assert!(q.next_batch(64, Duration::from_secs(60), &mut out));
+        // Closed: the pending requests still flush, then the queue
+        // reports drained.
+        assert!(q.next_batch(64, &mut out));
         assert_eq!(out.len(), 2);
-        assert!(!q.next_batch(64, Duration::from_secs(60), &mut out));
+        assert!(!q.next_batch(64, &mut out));
         assert!(out.is_empty());
     }
 
     #[test]
     fn close_wakes_an_idle_worker() {
-        let q = Arc::new(BatchQueue::<std::sync::mpsc::Sender<u32>>::new(4));
+        let q = Arc::new(BatchQueue::<Sender<u32>>::new(4));
         let worker = {
             let q = Arc::clone(&q);
             thread::spawn(move || {
                 let mut out = Vec::new();
-                q.next_batch(4, Duration::from_secs(60), &mut out)
+                q.next_batch(4, &mut out)
             })
         };
         thread::sleep(Duration::from_millis(50));
@@ -258,75 +228,15 @@ mod tests {
     }
 
     #[test]
-    fn wakeups_before_the_deadline_do_not_flush_early() {
-        // Every push notifies the condvar, so a worker waiting out the
-        // deadline is woken repeatedly with the size trigger still
-        // unmet — exactly the shape of a spurious wakeup. It must go
-        // back to waiting and flush once, at the deadline, with
-        // everything that arrived.
-        let q = Arc::new(BatchQueue::<std::sync::mpsc::Sender<u32>>::new(8));
-        let max_wait = Duration::from_millis(150);
-        q.push(request(0.0).0).unwrap();
-        let worker = {
-            let q = Arc::clone(&q);
-            thread::spawn(move || {
-                let mut out = Vec::new();
-                let start = Instant::now();
-                assert!(q.next_batch(8, max_wait, &mut out));
-                (start.elapsed(), out.len())
-            })
-        };
-        for i in 1..3 {
-            thread::sleep(Duration::from_millis(30));
-            q.push(request(i as f64).0).unwrap();
-        }
-        let (elapsed, got) = worker.join().expect("worker panicked");
-        assert_eq!(got, 3, "early flush: woke with the size trigger unmet");
-        assert!(
-            elapsed >= Duration::from_millis(100),
-            "flushed {elapsed:?} after the wait began, before the deadline"
-        );
-    }
-
-    #[test]
-    fn close_racing_a_deadline_wait_flushes_immediately() {
-        // A worker parked in the deadline wait (one request queued,
-        // deadline far off) must hand that request over as soon as
-        // close() lands — the drain path cannot wait out max_wait.
-        let q = Arc::new(BatchQueue::<std::sync::mpsc::Sender<u32>>::new(8));
-        q.push(request(9.0).0).unwrap();
-        let worker = {
-            let q = Arc::clone(&q);
-            thread::spawn(move || {
-                let mut out = Vec::new();
-                let alive = q.next_batch(8, Duration::from_secs(60), &mut out);
-                (alive, out.len())
-            })
-        };
-        thread::sleep(Duration::from_millis(50));
-        let start = Instant::now();
-        q.close();
-        let (alive, got) = worker.join().expect("worker panicked");
-        assert!(alive, "the queued request must flush before the end");
-        assert_eq!(got, 1);
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "close() left the worker waiting out the deadline"
-        );
-        let mut out = Vec::new();
-        assert!(!q.next_batch(8, Duration::from_secs(60), &mut out));
-    }
-
-    #[test]
     fn producer_and_consumer_hand_off_under_contention() {
-        let q = Arc::new(BatchQueue::<std::sync::mpsc::Sender<u32>>::new(64));
+        let q = Arc::new(BatchQueue::<Sender<u32>>::new(64));
         let total = 200;
         let consumer = {
             let q = Arc::clone(&q);
             thread::spawn(move || {
                 let mut out = Vec::new();
                 let mut seen = 0usize;
-                while q.next_batch(7, Duration::from_micros(200), &mut out) {
+                while q.next_batch(7, &mut out) {
                     for p in &out {
                         let _ = p.reply.send(p.observation[0] as u32);
                     }

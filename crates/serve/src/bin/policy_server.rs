@@ -14,8 +14,7 @@
 //!
 //! Environment knobs:
 //!
-//! * `CTJAM_SERVE_MAX_BATCH` — micro-batch flush size (default 16)
-//! * `CTJAM_SERVE_MAX_WAIT_US` — micro-batch flush deadline (default 200)
+//! * `CTJAM_SERVE_MAX_BATCH` — most requests one flush takes (default 16)
 //! * `CTJAM_SERVE_QUEUE_CAP` — bounded queue capacity per worker shard
 //!   (default 1024)
 //! * `CTJAM_SERVE_WORKERS` — batch workers / shards (default 0 =
@@ -88,7 +87,6 @@ fn main() -> ExitCode {
         .map(Duration::from_micros);
     let config = ServerConfig {
         max_batch: env_u64("CTJAM_SERVE_MAX_BATCH", 16) as usize,
-        max_wait: Duration::from_micros(env_u64("CTJAM_SERVE_MAX_WAIT_US", 200)),
         queue_capacity: env_u64("CTJAM_SERVE_QUEUE_CAP", 1024) as usize,
         quantize_int8: int8_requested,
         workers: env_u64("CTJAM_SERVE_WORKERS", 0) as usize,

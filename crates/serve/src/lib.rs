@@ -11,8 +11,9 @@
 //!   typed [`protocol::WireError`]s and an allocation-bomb-proof
 //!   length cap; v2 adds a tenant id to `Observe` while every
 //!   default-tenant frame stays byte-identical to v1;
-//! * `batcher` (internal) — the bounded size-or-deadline micro-batch
-//!   queue with explicit `ServerBusy` backpressure;
+//! * `batcher` (internal) — the bounded, work-conserving micro-batch
+//!   queue (an idle worker takes everything queued, up to `max_batch`)
+//!   with explicit `ServerBusy` backpressure;
 //! * [`server`] — [`server::PolicyServer`]: accept/connection threads,
 //!   N sharded batch workers (connections pinned by
 //!   `conn_id % workers`) flushing into `Mlp::forward_batch` grouped
@@ -23,8 +24,8 @@
 //! * [`client`] — a small blocking [`client::PolicyClient`] (tenant
 //!   aware; default-tenant clients speak pure v1);
 //! * [`metrics`] — global and per-tenant counters plus
-//!   latency/batch-size/queue-depth histograms (with p50/p95/p99) via
-//!   `ctjam-telemetry`.
+//!   latency/queue-wait/batch-size/queue-depth histograms (with
+//!   p50/p95/p99) via `ctjam-telemetry`.
 //!
 //! Served actions are **bit-exact** with `DqnAgent::act_greedy` on the
 //! agent the checkpoint was saved from: the batched forward kernel is

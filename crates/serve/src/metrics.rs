@@ -3,7 +3,7 @@
 //! One [`ServeMetrics`] lives behind a mutex in the server's shared
 //! state; connection threads and the batch workers update it, and
 //! [`ServeMetrics::to_json`] snapshots everything — counters plus the
-//! batch-size / queue-depth / latency histograms with their
+//! batch-size / queue-depth / queue-wait / latency histograms with their
 //! p50/p95/p99 summaries — into one `JsonValue` for export. In
 //! addition every tenant carries its own [`TenantMetrics`] (requests,
 //! responses, load-shed and reload accounting, a latency histogram);
@@ -53,6 +53,8 @@ pub struct ServeMetrics {
     pub batch_size: Histogram,
     /// Queue depth observed after each flush.
     pub queue_depth: Histogram,
+    /// Enqueue→flush-start wait per request, microseconds.
+    pub queue_wait_us: Histogram,
     /// Enqueue→reply latency per request, microseconds.
     pub latency_us: Histogram,
 }
@@ -65,8 +67,9 @@ impl Default for ServeMetrics {
 
 impl ServeMetrics {
     /// Zeroed metrics. Histogram ranges cover a loopback deployment:
-    /// batches up to 256 requests, queue depths to 1024, latencies to
-    /// 50 ms at 50 µs resolution (percentile error is one bin width).
+    /// batches up to 256 requests, queue depths to 1024, queue waits to
+    /// 5 ms at 5 µs resolution, latencies to 50 ms at 50 µs resolution
+    /// (percentile error is one bin width).
     pub fn new() -> Self {
         ServeMetrics {
             connections: Counter::new("connections"),
@@ -86,6 +89,7 @@ impl ServeMetrics {
             batches: Counter::new("batches"),
             batch_size: Histogram::new("batch_size", 0.0, 256.0, 256),
             queue_depth: Histogram::new("queue_depth", 0.0, 1024.0, 128),
+            queue_wait_us: Histogram::new("queue_wait_us", 0.0, 5_000.0, 1000),
             latency_us: Histogram::new("latency_us", 0.0, 50_000.0, 1000),
         }
     }
@@ -122,6 +126,7 @@ impl ServeMetrics {
         obj.set("counters", counters)
             .set("batch_size", histogram_json(&self.batch_size))
             .set("queue_depth", histogram_json(&self.queue_depth))
+            .set("queue_wait_us", histogram_json(&self.queue_wait_us))
             .set("latency_us", histogram_json(&self.latency_us))
             .set("mean_batch_occupancy", self.mean_batch_occupancy());
         obj
@@ -228,6 +233,7 @@ mod tests {
         }
         for us in [100.0, 120.0, 5_000.0] {
             m.latency_us.record(us);
+            m.queue_wait_us.record(us / 10.0);
         }
         let json = m.to_json();
         let counters = json.get("counters").expect("counters");
@@ -236,6 +242,8 @@ mod tests {
         let latency = json.get("latency_us").expect("latency_us");
         assert!(latency.get("p50").is_some());
         assert!(latency.get("p99").is_some());
+        let wait = json.get("queue_wait_us").expect("queue_wait_us");
+        assert_eq!(wait.get("count"), Some(&JsonValue::Num(3.0)));
         let occupancy = m.mean_batch_occupancy();
         assert!((occupancy - 20.0 / 3.0).abs() < 1e-12);
         assert_eq!(

@@ -19,9 +19,12 @@
 //!   enqueue observations into their shard's bounded queue; immediate
 //!   replies (`Pong`, errors) go out through the connection's shared
 //!   write half;
-//! * one **batch worker per shard** pulls size-or-deadline coalesced
-//!   batches, groups each flush's rows by tenant, and runs one
-//!   `Mlp::forward_batch` per tenant group — or the int8-quantized
+//! * one **batch worker per shard** is work-conserving: whenever it is
+//!   idle and its queue is not, it takes everything queued (up to
+//!   `max_batch`, FIFO) as one flush — no timer holds a request back,
+//!   and under load the requests that queued during a forward leave
+//!   together in the next. It groups each flush's rows by tenant and
+//!   runs one `Mlp::forward_batch` per tenant group — or the int8-quantized
 //!   forward when [`ServerConfig::quantize_int8`] is on and that
 //!   tenant's policy cleared its agreement gate — cloning each tenant's
 //!   serving-model `Arc` **once per group**, so every response in a
@@ -128,10 +131,9 @@ impl ReplyWriter {
 /// Tunables for one [`PolicyServer`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Flush a batch as soon as this many requests are queued.
+    /// Most requests one flush takes; the rest of a longer queue waits
+    /// for the next flush.
     pub max_batch: usize,
-    /// Flush at most this long after the oldest queued request arrived.
-    pub max_wait: Duration,
     /// Bound on queued requests **per worker shard**; pushes beyond it
     /// get `ServerBusy`.
     pub queue_capacity: usize,
@@ -165,7 +167,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             max_batch: 16,
-            max_wait: Duration::from_micros(200),
             queue_capacity: 1024,
             poll_interval: Duration::from_millis(25),
             quantize_int8: false,
@@ -338,6 +339,25 @@ struct Shared {
 }
 
 impl Shared {
+    /// An empty registry with `worker_count` idle shards; no thread is
+    /// started.
+    fn new(config: ServerConfig, worker_count: usize) -> Shared {
+        let shards = (0..worker_count)
+            .map(|_| WorkerShard {
+                queue: BatchQueue::new(config.queue_capacity),
+                ewma_ns_per_req: AtomicU64::new(0),
+            })
+            .collect();
+        Shared {
+            tenants: RwLock::new(Vec::new()),
+            shards,
+            shutdown: AtomicBool::new(false),
+            metrics: Mutex::new(ServeMetrics::new()),
+            config,
+            next_conn: AtomicU64::new(0),
+        }
+    }
+
     fn metrics(&self) -> MutexGuard<'_, ServeMetrics> {
         self.metrics.lock().expect("metrics lock poisoned")
     }
@@ -437,20 +457,7 @@ impl PolicyServer {
         } else {
             config.workers
         };
-        let shards = (0..worker_count)
-            .map(|_| WorkerShard {
-                queue: BatchQueue::new(config.queue_capacity),
-                ewma_ns_per_req: AtomicU64::new(0),
-            })
-            .collect();
-        let shared = Arc::new(Shared {
-            tenants: RwLock::new(Vec::new()),
-            shards,
-            shutdown: AtomicBool::new(false),
-            metrics: Mutex::new(ServeMetrics::new()),
-            config,
-            next_conn: AtomicU64::new(0),
-        });
+        let shared = Arc::new(Shared::new(config, worker_count));
         shared
             .add_tenant(DEFAULT_TENANT, policy)
             .expect("empty registry cannot collide");
@@ -805,6 +812,37 @@ fn dispatch(
     }
 }
 
+/// The queue-delay SLO's admission step. A request is shed when the
+/// estimated queue delay — the shard's queued requests × its EWMA
+/// service cost per request — exceeds `max_queue_delay`: it is counted
+/// in the global and the tenant's `slo_rejections` and refused with
+/// `Overloaded`, the connection left open. An EWMA of 0 means no flush
+/// has priced a request yet, so nothing is shed. Returns `None` when
+/// the request is admitted, else whether the connection stays open.
+fn shed_over_queue_delay(
+    shared: &Shared,
+    shard: &WorkerShard,
+    tenant: &Tenant,
+    writer: &ReplyWriter,
+    id: u64,
+) -> Option<bool> {
+    let max_delay = shared.config.max_queue_delay?;
+    let ewma = shard.ewma_ns_per_req.load(Ordering::Relaxed);
+    if ewma == 0 || shard.queue.depth() as u128 * u128::from(ewma) <= max_delay.as_nanos() {
+        return None;
+    }
+    shared.metrics().slo_rejections.incr();
+    tenant.metrics().slo_rejections.incr();
+    Some(
+        writer
+            .send(&Message::Error {
+                id,
+                code: ErrorCode::Overloaded,
+            })
+            .is_ok(),
+    )
+}
+
 /// Admission control plus enqueue; the shard's batch worker writes the
 /// `Action` reply. Rejections are written here, and `ShuttingDown`
 /// also closes the connection.
@@ -837,22 +875,8 @@ fn handle_observe(
             .is_ok();
     }
     let shard = &shared.shards[conn.shard];
-    if let Some(max_delay) = shared.config.max_queue_delay {
-        let ewma = shard.ewma_ns_per_req.load(Ordering::Relaxed);
-        // ewma == 0 means no flush has priced a request yet; admit.
-        if ewma > 0 {
-            let est_ns = shard.queue.depth() as u128 * u128::from(ewma);
-            if est_ns > max_delay.as_nanos() {
-                shared.metrics().slo_rejections.incr();
-                tenant.metrics().slo_rejections.incr();
-                return writer
-                    .send(&Message::Error {
-                        id,
-                        code: ErrorCode::Overloaded,
-                    })
-                    .is_ok();
-            }
-        }
+    if let Some(open) = shed_over_queue_delay(shared, shard, &tenant, writer, id) {
+        return open;
     }
     let pending = PendingRequest {
         observation,
@@ -910,11 +934,9 @@ fn batch_worker(shared: &Arc<Shared>, shard_index: usize) {
     let mut touched: Vec<u64> = Vec::new();
     let mut flush_seq: u64 = 0;
     loop {
-        let alive = shard.queue.next_batch(
-            shared.config.max_batch,
-            shared.config.max_wait,
-            &mut pending,
-        );
+        let alive = shard
+            .queue
+            .next_batch(shared.config.max_batch, &mut pending);
         if !pending.is_empty() {
             let flush_start = Instant::now();
             // Group this flush's rows by tenant: one forward per tenant
@@ -977,6 +999,8 @@ fn batch_worker(shared: &Arc<Shared>, shard_index: usize) {
                 m.queue_depth.record(shard.queue.depth() as f64);
                 m.responses.add(pending.len() as u64);
                 for p in &pending {
+                    m.queue_wait_us
+                        .record(flush_start.duration_since(p.enqueued).as_secs_f64() * 1e6);
                     m.latency_us
                         .record(now.duration_since(p.enqueued).as_secs_f64() * 1e6);
                 }
@@ -1029,5 +1053,138 @@ fn batch_worker(shared: &Arc<Shared>, shard_index: usize) {
         if !alive {
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ctjam_dqn::agent::DqnAgent;
+    use ctjam_dqn::config::DqnConfig;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// A one-shard server with a default tenant and no threads, and one
+    /// loopback connection to it. Nothing drains the queue, so the depth
+    /// admission sees is exactly what was admitted.
+    struct Idle {
+        shared: Arc<Shared>,
+        conn: ConnState,
+        writer: ReplyWriter,
+        client: TcpStream,
+        observation: Vec<f64>,
+    }
+
+    impl Idle {
+        fn new(max_queue_delay: Option<Duration>) -> Idle {
+            let config = DqnConfig {
+                history_len: 1,
+                num_channels: 2,
+                hidden: (4, 4),
+                ..DqnConfig::default()
+            };
+            let observation = vec![0.5; config.input_size()];
+            let agent = DqnAgent::new(config, &mut StdRng::seed_from_u64(1));
+            let config = ServerConfig {
+                max_queue_delay,
+                ..ServerConfig::default()
+            };
+            let shared = Arc::new(Shared::new(config, 1));
+            shared
+                .add_tenant(DEFAULT_TENANT, GreedyPolicy::from_agent(&agent))
+                .expect("empty registry");
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+            // A reply that never comes fails the test instead of hanging it.
+            let timeout = Some(Duration::from_secs(5));
+            client.set_read_timeout(timeout).expect("read timeout");
+            let (stream, _) = listener.accept().expect("accept");
+            let conn = ConnState {
+                conn_id: 0,
+                shard: 0,
+                tenants: Vec::new(),
+            };
+            let writer = ReplyWriter::new(Arc::new(stream));
+            Idle {
+                shared,
+                conn,
+                writer,
+                client,
+                observation,
+            }
+        }
+
+        /// Prices the shard at `ewma` ns per request, sends request `id`
+        /// through the connection's admission path, and returns the
+        /// queue depth after it.
+        fn observe(&mut self, ewma: u64, id: u64) -> usize {
+            let shard = &self.shared.shards[0];
+            shard.ewma_ns_per_req.store(ewma, Ordering::Relaxed);
+            let obs = self.observation.clone();
+            let open = handle_observe(&self.shared, &mut self.conn, &self.writer, id, 0, obs);
+            assert!(open, "request {id} closed the connection");
+            shard.queue.depth()
+        }
+
+        fn reply(&mut self) -> Message {
+            Message::read_from(&mut self.client)
+                .expect("read")
+                .expect("open")
+        }
+
+        /// `slo_rejections`, globally and for the tenant.
+        fn shed(&self) -> (u64, u64) {
+            let tenant = self.shared.find_tenant(DEFAULT_TENANT).expect("tenant");
+            let global = self.shared.metrics().slo_rejections.value;
+            let own = tenant.metrics().slo_rejections.value;
+            (global, own)
+        }
+    }
+
+    #[test]
+    fn slo_sheds_when_depth_times_cost_exceeds_the_budget() {
+        let mut s = Idle::new(Some(Duration::from_micros(10)));
+        // Nothing queued: nothing to wait behind, at any price.
+        assert_eq!(s.observe(u64::MAX, 0), 1);
+        // 1 queued × 10 µs fits the 10 µs budget.
+        assert_eq!(s.observe(10_000, 1), 2);
+        // 2 queued × 5.001 µs does not: shed, not queued.
+        assert_eq!(s.observe(5_001, 2), 2);
+        assert_eq!(s.shed(), (1, 1));
+        assert_eq!(s.observe(5_000, 3), 3);
+        // Unpriced (no flush yet): admitted behind any queue.
+        assert_eq!(s.observe(0, 4), 4);
+        // 4 queued × 2.501 µs > 10 µs: shed.
+        assert_eq!(s.observe(2_501, 5), 4);
+        assert_eq!(s.shed(), (2, 2));
+        // Each refusal reached the client, typed and in order.
+        for id in [2, 5] {
+            let code = ErrorCode::Overloaded;
+            assert_eq!(s.reply(), Message::Error { id, code });
+        }
+        // Without a budget nothing is shed, however deep and priced.
+        let mut s = Idle::new(None);
+        for id in 0..3 {
+            assert_eq!(s.observe(u64::MAX, id), id as usize + 1);
+        }
+        assert_eq!(s.shed(), (0, 0));
+    }
+
+    /// The shutdown drain, without timing: a request queued when the
+    /// queue closes is answered over its socket by the worker, which
+    /// then exits.
+    #[test]
+    fn shutdown_drain_answers_a_parked_request() {
+        let mut s = Idle::new(None);
+        assert_eq!(s.observe(0, 9), 1);
+        // `PolicyServer::stop`'s order, with the worker started last.
+        s.shared.shutdown.store(true, Ordering::SeqCst);
+        s.shared.shards[0].queue.close();
+        batch_worker(&s.shared, 0);
+        let tenant = s.shared.find_tenant(DEFAULT_TENANT).expect("tenant");
+        let action = tenant.current_model().policy.act_greedy(&s.observation) as u32;
+        assert_eq!(s.reply(), Message::Action { id: 9, action });
+        assert_eq!(s.shared.metrics().responses.value, 1);
+        assert_eq!(s.shared.metrics().queue_wait_us.count(), 1);
     }
 }

@@ -297,10 +297,11 @@ fn per_tenant_watcher_swaps_only_its_tenant() {
     server.shutdown();
 }
 
-/// The drain guarantee spans tenants: shutdown races a burst of
-/// pipelined requests for both tenants, and every admitted request is
-/// answered — globally and per tenant, responses == recorded
-/// latencies.
+/// The drain guarantee spans tenants: shutdown races four synchronous
+/// clients, two per tenant, and every admitted request is answered —
+/// globally and per tenant, the `Action` replies the clients received
+/// == responses == recorded latencies (and, globally, == recorded
+/// queue waits).
 #[test]
 fn graceful_drain_answers_every_tenant() {
     let config = small_config();
@@ -312,7 +313,6 @@ fn graceful_drain_answers_every_tenant() {
         ServerConfig {
             workers: 2,
             max_batch: 64,
-            max_wait: Duration::from_millis(50),
             ..ServerConfig::default()
         },
     )
@@ -332,22 +332,30 @@ fn graceful_drain_answers_every_tenant() {
         let config = config.clone();
         workers.push(thread::spawn(move || {
             let mut client = PolicyClient::connect_tenant(addr, tenant).expect("connect");
-            for obs in observations(&config, 20, 500 + t) {
-                match client.act(&obs) {
-                    Ok(served) => assert_eq!(served as usize, agent.act_greedy(&obs)),
+            let mut answered = 0u32;
+            // Keep a request in flight until the shutdown ends the
+            // connection, so the shutdown always races live traffic.
+            for obs in observations(&config, 20, 500 + t).iter().cycle() {
+                match client.act(obs) {
+                    Ok(served) => {
+                        assert_eq!(served as usize, agent.act_greedy(obs));
+                        answered += 1;
+                    }
                     Err(ClientError::Rejected(ErrorCode::ShuttingDown))
                     | Err(ClientError::Closed)
-                    | Err(ClientError::Io(_)) => return,
+                    | Err(ClientError::Io(_)) => break,
                     Err(other) => panic!("unexpected failure: {other}"),
                 }
             }
+            (tenant, answered)
         }));
     }
     thread::sleep(Duration::from_millis(30));
     let metrics = server.shutdown();
-    for w in workers {
-        w.join().expect("client thread panicked");
-    }
+    let answered: Vec<(u32, u32)> = workers
+        .into_iter()
+        .map(|w| w.join().expect("client thread panicked"))
+        .collect();
 
     let num = |v: Option<&JsonValue>| match v {
         Some(&JsonValue::Num(n)) => n,
@@ -355,15 +363,29 @@ fn graceful_drain_answers_every_tenant() {
     };
     let counters = metrics.get("counters").expect("counters");
     let responses = num(counters.get("responses"));
-    let latency = metrics.get("latency_us").expect("latency_us");
-    assert_eq!(latency.get("count"), Some(&JsonValue::Num(responses)));
+    for histogram in ["latency_us", "queue_wait_us"] {
+        let h = metrics.get(histogram).expect("histogram");
+        assert_eq!(
+            h.get("count"),
+            Some(&JsonValue::Num(responses)),
+            "{histogram}"
+        );
+    }
     let tenants = metrics.get("tenants").expect("tenants");
     let mut tenant_responses = 0.0;
-    for id in ["0", "7"] {
-        let t = tenants.get(id).expect("tenant entry");
+    for id in [DEFAULT_TENANT, TENANT_B] {
+        let t = tenants.get(&id.to_string()).expect("tenant entry");
         let r = num(t.get("counters").expect("tenant counters").get("responses"));
         let c = num(t.get("latency_us").expect("tenant latency").get("count"));
         assert_eq!(r, c, "tenant {id} dropped an admitted request");
+        // Each client has one request in flight, so every reply the
+        // server answered must have reached it before the socket closed.
+        let got: u32 = answered
+            .iter()
+            .filter(|&&(tenant, _)| tenant == id)
+            .map(|&(_, n)| n)
+            .sum();
+        assert_eq!(f64::from(got), r, "tenant {id} lost an answered reply");
         tenant_responses += r;
     }
     assert_eq!(
